@@ -27,6 +27,12 @@ done
 echo "== cargo test -q"
 cargo test -q
 
+echo "== crate tests (tensor, core, verify, ir, lint; release)"
+# Tier-1 above runs only the facade package; the kernel, tape-op, verifier
+# and compiler suites live in their own crates. Release: the core training
+# tests run whole fits, which take minutes under the debug sanitizer.
+cargo test -q --release -p ses-tensor -p ses-core -p ses-verify -p ses-ir -p ses-lint
+
 echo "== race-check (model-checked interleavings, <60s budget)"
 # The clean suite must explore >=10k schedules and exit 0; each seeded
 # concurrency defect (a real bug compiled into the checked code) must be

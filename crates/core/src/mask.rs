@@ -21,14 +21,12 @@ pub struct MaskGenerator {
     mlp_b1: Param,
     mlp_w2: Param,
     mlp_b2: Param,
-    // structure scorer: cat(h_i, h_k) -> 1 (shared W, b of Eq. 4)
+    // structure scorer: cat(h_i, h_k, h_i ⊙ h_k) -> 1 (shared W, b of Eq. 4);
+    // a 2·hidden-row W drops the product block (the additive scorer)
     w_s: Param,
     b_s: Param,
     hidden: usize,
     feat_dim: usize,
-    /// When false, the scorer omits the `h_i ⊙ h_k` interaction block —
-    /// the paper's literal additive concatenation (see DESIGN.md).
-    interaction: bool,
 }
 
 /// The masks produced during one forward pass (tape variables).
@@ -37,7 +35,7 @@ pub struct MaskOutput {
     pub feature: Var,
     /// Structure mask `M_s` over the k-hop edges (`nnz × 1`).
     pub structure: Var,
-    /// Negative structure mask `M_sneg` (`nnz × 1`).
+    /// Negative structure mask `M_sneg`, one row per negative pair.
     pub structure_neg: Var,
     /// Parameter leaves recorded on the tape, aligned with
     /// [`MaskGenerator::params_mut`].
@@ -66,7 +64,6 @@ impl MaskGenerator {
             b_s: Param::new(Matrix::zeros(1, 1)),
             hidden,
             feat_dim,
-            interaction: true,
         }
     }
 
@@ -76,14 +73,14 @@ impl MaskGenerator {
     pub fn additive(hidden: usize, feat_dim: usize, rng: &mut StdRng) -> Self {
         let mut m = Self::new(hidden, feat_dim, rng);
         m.w_s = Param::new(init::xavier_uniform(2 * hidden, 1, rng));
-        m.interaction = false;
         m
     }
 
     /// Forward pass. `h` is the first-layer encoder output on the tape;
     /// `khop` is the k-hop structure whose entries are scored;
-    /// `neg_endpoints` are the `(anchor, negative)` index arrays (same
-    /// length as `khop.nnz()`) for the negative mask.
+    /// `neg_anchor`/`neg_other` are the `(anchor, negative)` index arrays
+    /// for the negative mask — one pair per k-hop entry in training, empty
+    /// when the negative mask is not needed.
     #[allow(clippy::too_many_arguments)] // the five index arrays are one precomputed pair-set
     pub fn forward(
         &self,
@@ -111,10 +108,9 @@ impl MaskGenerator {
         let feature = tape.sigmoid(m2);
 
         // Eq. (4): M_s = sigmoid(W · cat(h_i, h_k) + b) per k-hop edge
-        let structure = Self::score_pairs(tape, h, khop_rows, khop_cols, ws, bs, self.interaction);
+        let structure = tape.pair_score(h, khop_rows.clone(), khop_cols.clone(), ws, bs);
         // negative pairs
-        let structure_neg =
-            Self::score_pairs(tape, h, neg_anchor, neg_other, ws, bs, self.interaction);
+        let structure_neg = tape.pair_score(h, neg_anchor.clone(), neg_other.clone(), ws, bs);
 
         MaskOutput {
             feature,
@@ -122,27 +118,6 @@ impl MaskGenerator {
             structure_neg,
             param_vars: vec![w1, b1, w2, b2, ws, bs],
         }
-    }
-
-    /// Scores node pairs: `sigmoid(cat(h[a], h[b], h[a] ⊙ h[b]) · w + b)`.
-    fn score_pairs(
-        tape: &mut Tape,
-        h: Var,
-        a_idx: &Arc<Vec<usize>>,
-        b_idx: &Arc<Vec<usize>>,
-        w: Var,
-        b: Var,
-        interaction: bool,
-    ) -> Var {
-        let ha = tape.gather_rows(h, a_idx.clone());
-        let hb = tape.gather_rows(h, b_idx.clone());
-        let mut cat = tape.concat_cols(ha, hb);
-        if interaction {
-            let prod = tape.mul(ha, hb);
-            cat = tape.concat_cols(cat, prod);
-        }
-        let score = tape.linear(cat, w, b);
-        tape.sigmoid(score)
     }
 
     /// Mutable parameter list (`θ_m`), stable order.

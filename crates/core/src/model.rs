@@ -887,8 +887,6 @@ fn apply_step<E: Encoder + ?Sized>(
     enc_vars: &[Var],
     mask_vars: &[Var],
 ) {
-    let zero_shapes: Vec<Matrix> = Vec::new();
-    let _ = zero_shapes;
     let enc_grads: Vec<Option<Matrix>> = enc_vars.iter().map(|&v| tape.grad(v).cloned()).collect();
     let mask_grads: Vec<Option<Matrix>> =
         mask_vars.iter().map(|&v| tape.grad(v).cloned()).collect();
@@ -961,15 +959,16 @@ fn extract_masks<E: Encoder>(
         };
         encoder.forward(&mut fctx)
     };
-    // negative endpoints are irrelevant for extraction; reuse structure rows
+    // extraction reads no negative mask, so score no negative pairs
+    let no_pairs = Arc::new(Vec::new());
     let masks = mask_gen.forward(
         &mut tape,
         out.hidden,
         &ctx.khop,
         &ctx.khop_rows,
         &ctx.khop_cols,
-        &ctx.khop_rows,
-        &ctx.khop_cols,
+        &no_pairs,
+        &no_pairs,
     );
     let fm = tape.value(masks.feature).clone();
     let sw = tape.value(masks.structure).as_slice().to_vec();

@@ -4,9 +4,9 @@
 //! runtime*: the static checker proves value-number equality, and this
 //! module lets tests prove **bit identity** — every op is computed with the
 //! same [`Matrix`] methods and kernel entry points (`sparse::spmm`,
-//! `kernels::edge_softmax`) the recording tape used, in the same order, so
-//! an optimised plan must reproduce the tape's forward values exactly,
-//! down to the last ULP.
+//! `kernels::edge_softmax`, `kernels::pair_score`) the recording tape used,
+//! in the same order, so an optimised plan must reproduce the tape's forward
+//! values exactly, down to the last ULP.
 //!
 //! Payloads (leaf matrices, CSR structures, index lists, dropout masks) are
 //! not part of the IR — the tape exports only summaries of them. The caller
@@ -31,6 +31,8 @@ pub enum Payload {
     Sparse(Arc<CsrStructure>),
     /// Row indices of a `gather_rows` node.
     Gather(Arc<Vec<usize>>),
+    /// Anchor and partner row indices of a `pair_score` node.
+    Pairs(Arc<Vec<usize>>, Arc<Vec<usize>>),
     /// Labels and masked row set of an `nll_masked` node.
     Nll {
         /// Per-row class labels.
@@ -209,6 +211,21 @@ pub fn execute(plan: &InferencePlan, payloads: &PayloadMap) -> Result<Vec<Matrix
                 other => {
                     return Err(ExecError(format!(
                         "node {}: expected gather payload, got {other:?}",
+                        step.orig
+                    )))
+                }
+            },
+            "pair_score" => match payloads.get(step.orig, "pairs")? {
+                Payload::Pairs(a_idx, b_idx) => ses_tensor::kernels::pair_score(
+                    &arg(0)?,
+                    a_idx,
+                    b_idx,
+                    &arg(1)?,
+                    arg(2)?.scalar_value(),
+                ),
+                other => {
+                    return Err(ExecError(format!(
+                        "node {}: expected pairs payload, got {other:?}",
                         step.orig
                     )))
                 }

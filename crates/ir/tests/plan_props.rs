@@ -5,7 +5,7 @@
 //!
 //! The generator mixes payload-free elementwise/matmul chains with payload
 //! ops (spmm over a random CSR structure, dropout under a fixed mask,
-//! gather_rows, edge_softmax, a masked cross-entropy head) and deliberately
+//! gather_rows, pair_score, a masked cross-entropy head) and deliberately
 //! re-records duplicate subexpressions so CSE actually fires.
 
 use std::sync::Arc;
@@ -59,7 +59,7 @@ fn build_random_tape(seed: u64, ops: &[u32]) -> (Tape, Var, Vec<Var>, PayloadMap
         let pick = |k: u32| pool[(k as usize) % pool.len()];
         let a = pick(code.wrapping_mul(7));
         let b = pick(code.wrapping_mul(13).wrapping_add(3));
-        let v = match code % 12 {
+        let v = match code % 13 {
             0 => t.add(a, b),
             1 => t.sub(a, b),
             2 => t.mul(a, b),
@@ -99,9 +99,21 @@ fn build_random_tape(seed: u64, ops: &[u32]) -> (Tape, Var, Vec<Var>, PayloadMap
                 let w = leaf(&mut t, &mut payloads, &mut rng, F, F);
                 t.matmul(a, w)
             }
-            _ => {
+            11 => {
                 let bias = leaf(&mut t, &mut payloads, &mut rng, 1, F);
                 t.add_row_broadcast(a, bias)
+            }
+            _ => {
+                // One score per row (some pairs repeated, some self pairs),
+                // broadcast back over a pool node to keep the pool N×F.
+                let a_idx: Arc<Vec<usize>> =
+                    Arc::new((0..N).map(|_| rng.gen_range(0..N)).collect());
+                let b_idx: Arc<Vec<usize>> = Arc::new((0..N).map(|i| (i * 5) % N).collect());
+                let w = leaf(&mut t, &mut payloads, &mut rng, 3 * F, 1);
+                let bias = leaf(&mut t, &mut payloads, &mut rng, 1, 1);
+                let s = t.pair_score(a, a_idx.clone(), b_idx.clone(), w, bias);
+                payloads.insert(s.index(), Payload::Pairs(a_idx, b_idx));
+                t.mul_col_broadcast(b, s)
             }
         };
         pool.push(v);

@@ -214,6 +214,8 @@ pub static EDGE_SOFTMAX_CALLS: Counter = Counter::new("kernel.edge_softmax.calls
 pub static MATMUL_CALLS: Counter = Counter::new("kernel.matmul.calls");
 /// Fused multiply-adds across all dense matmul-family calls.
 pub static MATMUL_FLOPS: Counter = Counter::new("kernel.matmul.fmas");
+/// Multiply-adds across all fused pair-scorer calls (forward + backward).
+pub static PAIR_SCORE_FMAS: Counter = Counter::new("kernel.pair_score.fmas");
 
 /// Dense matrices allocated (zeroed/filled constructors).
 pub static ALLOC_MATRICES: Counter = Counter::new("alloc.matrices");
@@ -346,7 +348,7 @@ pub static TRAIN_EPOCH_NS: LogHistogram = LogHistogram::new("trainer.epoch_ns");
 /// End-to-end serving-request latency (admission to response, all tiers).
 pub static SERVE_REQUEST_NS: LogHistogram = LogHistogram::new("serve.request_ns");
 
-static ALL_COUNTERS: [&Counter; 53] = [
+static ALL_COUNTERS: [&Counter; 54] = [
     &TAPE_NODES,
     &TAPE_BACKWARDS,
     &SPMM_CALLS,
@@ -354,6 +356,7 @@ static ALL_COUNTERS: [&Counter; 53] = [
     &EDGE_SOFTMAX_CALLS,
     &MATMUL_CALLS,
     &MATMUL_FLOPS,
+    &PAIR_SCORE_FMAS,
     &ALLOC_MATRICES,
     &ALLOC_BYTES,
     &SAN_NONFINITE,

@@ -1,6 +1,8 @@
 //! Dense matmul family: row-parallel, register-blocked lane kernels.
 //!
-//! All three variants partition the *output* rows across threads, so each
+//! All three variants run the same `matmul` body — `t_matmul` and `matmul_t`
+//! first copy the operand they read transposed into a pooled scratch
+//! buffer — which partitions the *output* rows across threads, so each
 //! output element is produced by exactly one task accumulating over `k` in
 //! ascending order — bit-identical at any thread count, and bit-identical to
 //! the scalar reference bodies in [`super::reference`] (the lane structure
@@ -21,7 +23,7 @@
 
 use std::ops::Range;
 
-use super::lane::{self, F32x8, LANES};
+use super::lane::{F32x8, LANES};
 use crate::matrix::Matrix;
 use crate::par;
 
@@ -52,10 +54,17 @@ pub fn matmul(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
         b.rows(),
         b.cols()
     );
+    matmul_dispatch("matmul", a, b, threads)
+}
+
+/// Runs `a × b` at the thread count the crossover table gives `kernel` (the
+/// name each matmul-family entry point is calibrated under), degrading to
+/// the serial body if a worker panics.
+fn matmul_dispatch(kernel: &'static str, a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     let work = a.rows() * a.cols() * b.cols();
-    let threads = par::dispatch::threads_for("matmul", work, threads);
+    let threads = par::dispatch::threads_for(kernel, work, threads);
     par::run_isolated(
-        "matmul",
+        kernel,
         threads,
         || matmul_impl(a, b, threads),
         || matmul_impl(a, b, 1),
@@ -152,10 +161,10 @@ fn matmul_panel<const R: usize>(a: &Matrix, b: &Matrix, i0: usize, out: &mut [f3
     }
 }
 
-/// `aᵀ × b` without materialising the transpose. Parallel over output rows
-/// (columns of `a`): each task sweeps `k` (rows of `a`/`b`) in order and
-/// axpy-lanes `b`'s row into its own output rows, preserving the serial
-/// accumulation order per element.
+/// `aᵀ × b`: `matmul(aᵀ, b)` on the lane panels, with `aᵀ` leased from the
+/// scratch pool and recycled. Each output element still sums `k` (rows of
+/// `a`/`b`) in ascending order with separate multiply and add, so the bits
+/// match the axpy-per-row formulation of [`super::reference::t_matmul`].
 ///
 /// # Panics
 /// Panics if `a.rows() != b.rows()`.
@@ -171,47 +180,16 @@ pub fn t_matmul(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
         b.rows(),
         b.cols()
     );
-    let work = a.cols() * a.rows() * b.cols();
-    let threads = par::dispatch::threads_for("t_matmul", work, threads);
-    par::run_isolated(
-        "t_matmul",
-        threads,
-        || t_matmul_impl(a, b, threads),
-        || t_matmul_impl(a, b, 1),
-    )
-}
-
-/// Compute body of [`t_matmul`] at an explicit thread count.
-fn t_matmul_impl(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    let n = b.cols();
-    let mut out = Matrix::zeros_pooled(a.cols(), n);
-    let ranges = par::even_ranges(a.cols(), threads);
-    let slices = par::split_rows_mut(out.as_mut_slice(), n, &ranges);
-    let tasks: Vec<_> = ranges
-        .into_iter()
-        .zip(slices)
-        .map(|(cols, slice)| {
-            move || {
-                for k in 0..a.rows() {
-                    let a_seg = &a.row(k)[cols.clone()];
-                    let b_row = b.row(k);
-                    for (i, &a_ki) in a_seg.iter().enumerate() {
-                        lane::axpy(&mut slice[i * n..(i + 1) * n], b_row, a_ki);
-                    }
-                }
-            }
-        })
-        .collect();
-    par::run_tasks(threads, tasks);
+    let at = a.transpose();
+    let out = matmul_dispatch("t_matmul", &at, b, threads);
+    at.recycle();
     out
 }
 
-/// `a × bᵀ` without materialising the transpose: dot products over ascending
-/// `k`, eight output columns in flight per step. Each output element's
-/// reduction stays a single serial chain (lane `l` only ever accumulates its
-/// own column), so the result is bit-identical to one-at-a-time dots — but
-/// the eight independent chains hide the FP add latency the scalar loop
-/// serialised on.
+/// `a × bᵀ`: `matmul(a, bᵀ)` on the lane panels, with `bᵀ` leased from the
+/// scratch pool and recycled. Each output element is one ascending-`k`
+/// chain from a zero accumulator, exactly the dot product of
+/// [`super::reference::matmul_t`].
 ///
 /// # Panics
 /// Panics if `a.cols() != b.cols()`.
@@ -227,54 +205,9 @@ pub fn matmul_t(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
         b.rows(),
         b.cols()
     );
-    let work = a.rows() * a.cols() * b.rows();
-    let threads = par::dispatch::threads_for("matmul_t", work, threads);
-    par::run_isolated(
-        "matmul_t",
-        threads,
-        || matmul_t_impl(a, b, threads),
-        || matmul_t_impl(a, b, 1),
-    )
-}
-
-/// Compute body of [`matmul_t`] at an explicit thread count.
-fn matmul_t_impl(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    let n = b.rows();
-    let mut out = Matrix::zeros_pooled(a.rows(), n);
-    let ranges = par::even_ranges(a.rows(), threads);
-    let slices = par::split_rows_mut(out.as_mut_slice(), n, &ranges);
-    let tasks: Vec<_> = ranges
-        .into_iter()
-        .zip(slices)
-        .map(|(rows, slice)| {
-            move || {
-                let base = rows.start;
-                for i in rows {
-                    let a_row = a.row(i);
-                    let out_row = &mut slice[(i - base) * n..(i - base + 1) * n];
-                    let mut j = 0;
-                    while j + LANES <= n {
-                        let mut acc = F32x8::zero();
-                        for (k, &ak) in a_row.iter().enumerate() {
-                            acc = acc.add(F32x8::splat(ak).mul(F32x8::gather_col(b, j, k)));
-                        }
-                        acc.store(&mut out_row[j..j + LANES]);
-                        j += LANES;
-                    }
-                    #[allow(clippy::needless_range_loop)] // jj indexes both out_row and b.row(jj)
-                    for jj in j..n {
-                        let b_row = b.row(jj);
-                        let mut acc = 0.0;
-                        for (&ak, &bk) in a_row.iter().zip(b_row) {
-                            acc += ak * bk;
-                        }
-                        out_row[jj] = acc;
-                    }
-                }
-            }
-        })
-        .collect();
-    par::run_tasks(threads, tasks);
+    let bt = b.transpose();
+    let out = matmul_dispatch("matmul_t", a, &bt, threads);
+    bt.recycle();
     out
 }
 

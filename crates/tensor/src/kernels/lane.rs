@@ -24,8 +24,6 @@
 //!   padding an accumulation with `+0.0` is not a no-op in IEEE-754
 //!   (`-0.0 + 0.0 == +0.0` flips the sign of a negative-zero accumulator).
 
-use crate::matrix::Matrix;
-
 /// Lane width. Eight `f32`s = one AVX2 register; targets without 256-bit
 /// vectors split each op into two 128-bit halves, still branch-free.
 pub const LANES: usize = 8;
@@ -45,12 +43,6 @@ impl F32x8 {
     #[inline(always)]
     pub fn zero() -> Self {
         F32x8([0.0; LANES])
-    }
-
-    /// Every lane holds `v`.
-    #[inline(always)]
-    pub fn splat(v: f32) -> Self {
-        F32x8([v; LANES])
     }
 
     /// Loads lanes from the first [`LANES`] elements of `s`.
@@ -84,17 +76,6 @@ impl F32x8 {
         F32x8(r)
     }
 
-    /// Lane-wise `self * o`.
-    #[inline(always)]
-    #[allow(clippy::should_implement_trait)] // free fn keeps the non-operator kernel call sites explicit
-    pub fn mul(self, o: Self) -> Self {
-        let mut r = self.0;
-        for (rl, ol) in r.iter_mut().zip(o.0) {
-            *rl *= ol;
-        }
-        F32x8(r)
-    }
-
     /// Lane-wise `self + c * o` as a **separate** multiply then add — the
     /// exact op sequence of the scalar kernels (`*acc += c * x`), never a
     /// fused `mul_add`, so the rounding matches bit for bit.
@@ -117,14 +98,6 @@ impl F32x8 {
             *rl /= d;
         }
         F32x8(r)
-    }
-
-    /// Strided gather: lane `l` loads `m[(rows.start + l, col)]`. Used by
-    /// `matmul_t`, where eight output columns advance together down the same
-    /// `k` index of eight different rows of `b`.
-    #[inline(always)]
-    pub fn gather_col(m: &Matrix, row0: usize, col: usize) -> Self {
-        F32x8(std::array::from_fn(|l| m.row(row0 + l)[col]))
     }
 }
 

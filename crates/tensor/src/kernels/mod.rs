@@ -1,11 +1,12 @@
 //! Cache-blocked, row-parallel compute kernels.
 //!
 //! Every hot loop in the workspace bottoms out here: the sparse × dense
-//! products and edge softmax that dominate SES mask learning, and the dense
-//! matmul family behind every linear layer. Each kernel takes an explicit
-//! `threads` argument; the public wrappers ([`crate::Matrix::matmul`],
-//! [`crate::sparse::spmm`], the tape ops) pass
-//! [`crate::par::configured_threads`].
+//! products and edge softmax that dominate SES mask learning, the fused
+//! structure-mask pair scorer, and the dense matmul family behind every
+//! linear layer. Each parallel kernel takes an explicit `threads` argument;
+//! the public wrappers ([`crate::Matrix::matmul`], [`crate::sparse::spmm`],
+//! the tape ops) pass [`crate::par::configured_threads`]. The pair scorer
+//! is serial.
 //!
 //! # Determinism
 //!
@@ -27,9 +28,12 @@ pub mod lane;
 pub mod reference;
 
 mod dense;
+mod pair;
 mod sparse;
 
 pub use dense::{matmul, matmul_t, t_matmul};
+pub use pair::pair_score;
+pub(crate) use pair::pair_score_backward;
 pub use sparse::{edge_softmax, edge_softmax_backward, spmm, spmm_transpose, spmm_values_grad};
 
 // The old FEATURE_TILE-based scalar tiling lives on only inside

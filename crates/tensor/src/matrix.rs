@@ -224,13 +224,23 @@ impl Matrix {
         crate::kernels::matmul_t(self, rhs, crate::par::configured_threads())
     }
 
-    /// Transposed copy.
+    /// Transposed copy (storage leased from the scratch pool). Copies
+    /// blocks of eight source rows at a time, so each output row is written
+    /// in contiguous runs while the eight source rows stream in order.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros_pooled(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
+        const BLOCK: usize = 8;
+        let (rows, cols) = self.shape();
+        let mut out = Matrix::zeros_pooled(cols, rows);
+        let mut i0 = 0;
+        while i0 < rows {
+            let i1 = (i0 + BLOCK).min(rows);
+            for j in 0..cols {
+                let dst = &mut out.data[j * rows + i0..j * rows + i1];
+                for (d, i) in dst.iter_mut().zip(i0..i1) {
+                    *d = self.data[i * cols + j];
+                }
             }
+            i0 = i1;
         }
         out
     }

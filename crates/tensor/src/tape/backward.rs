@@ -62,8 +62,17 @@ impl Tape {
                 vec![(*matrix, g.scale(s)), (*scalar, ds)]
             }
             Op::MatMul(a, b) => {
-                // dL/dA = G Bᵀ ; dL/dB = Aᵀ G
-                vec![(*a, g.matmul_t(val(*b))), (*b, val(*a).t_matmul(g))]
+                // dL/dA = G Bᵀ ; dL/dB = Aᵀ G — each only for an operand that
+                // needs it (every encoder's first layer multiplies the
+                // constant feature matrix).
+                let mut out = Vec::with_capacity(2);
+                if self.needs(*a) {
+                    out.push((*a, g.matmul_t(val(*b))));
+                }
+                if self.needs(*b) {
+                    out.push((*b, val(*a).t_matmul(g)));
+                }
+                out
             }
             Op::Transpose(a) => vec![(*a, g.transpose())],
             Op::AddRowBroadcast { matrix, bias } => {
@@ -213,6 +222,33 @@ impl Tape {
                     }
                 }
                 vec![(*src, d)]
+            }
+            Op::PairScore {
+                h,
+                a_idx,
+                b_idx,
+                w,
+                bias,
+            } => {
+                let grads = crate::kernels::pair_score_backward(
+                    val(*h),
+                    a_idx,
+                    b_idx,
+                    val(*w),
+                    node.value.as_slice(),
+                    g.as_slice(),
+                    self.needs(*h),
+                );
+                // D_b before D_a: the order the unfused chain's two gathers
+                // added into H's gradient.
+                let mut out = Vec::with_capacity(4);
+                if let Some((d_b, d_a)) = grads.h {
+                    out.push((*h, d_b));
+                    out.push((*h, d_a));
+                }
+                out.push((*w, grads.w));
+                out.push((*bias, Matrix::full_pooled(1, 1, grads.bias)));
+                out
             }
             Op::ConcatCols(a, b) => {
                 let (n, fa) = self.nodes[a.0].value.shape();

@@ -1,5 +1,6 @@
 //! Graph-structured operations: sparse × dense products with differentiable
-//! edge values, and per-destination edge softmax (the GAT attention kernel).
+//! edge values, the fused node-pair scorer, and per-destination edge softmax
+//! (the GAT attention kernel).
 
 use std::sync::Arc;
 
@@ -39,6 +40,48 @@ impl Tape {
     pub fn spmm_fixed(&mut self, structure: Arc<CsrStructure>, values: &[f32], dense: Var) -> Var {
         let vals = self.constant(Matrix::col_vec(values));
         self.spmm(structure, vals, dense)
+    }
+
+    /// Scores node pairs in one op: `σ([h_a ; h_b ; h_a ⊙ h_b] · w + bias)`
+    /// per pair `(a_idx[p], b_idx[p])`, as an `m × 1` column — the SES
+    /// structure-mask scorer (Eq. 4). A `2d × 1` weight drops the
+    /// `h_a ⊙ h_b` block (the paper's additive concatenation); `bias` is
+    /// `1 × 1`.
+    ///
+    /// Forward and backward run on [`crate::kernels::pair_score`] and its
+    /// backward kernel, which read the endpoint rows of `h` in place. Values and gradients are bit-identical to the chain
+    /// `gather_rows`×2 → `concat_cols` → `mul` → `concat_cols` → `linear` →
+    /// `sigmoid`, including duplicate pairs, self pairs and `m = 0`.
+    pub fn pair_score(
+        &mut self,
+        h: Var,
+        a_idx: Arc<Vec<usize>>,
+        b_idx: Arc<Vec<usize>>,
+        w: Var,
+        bias: Var,
+    ) -> Var {
+        self.san_gather_bounds("pair_score", h, &a_idx);
+        self.san_gather_bounds("pair_score", h, &b_idx);
+        assert_eq!(self.shape(bias), (1, 1), "pair_score: bias must be 1x1");
+        let v = crate::kernels::pair_score(
+            self.value(h),
+            &a_idx,
+            &b_idx,
+            self.value(w),
+            self.value(bias).scalar_value(),
+        );
+        let ng = self.needs(h) || self.needs(w) || self.needs(bias);
+        self.push(
+            v,
+            Op::PairScore {
+                h,
+                a_idx,
+                b_idx,
+                w,
+                bias,
+            },
+            ng,
+        )
     }
 
     /// Per-row segment softmax over CSR entries: for each row `r`, the stored

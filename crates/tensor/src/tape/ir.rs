@@ -52,6 +52,13 @@ pub enum IrMeta {
         /// Mask entries.
         len: usize,
     },
+    /// Pair-scorer index summary (both endpoint lists).
+    Pairs {
+        /// Number of scored pairs.
+        len: usize,
+        /// Largest endpoint over both lists (None when there are no pairs).
+        idx_max: Option<usize>,
+    },
 }
 
 /// One node of the exported tape IR.
@@ -104,7 +111,7 @@ impl TapeIr {
 /// alone when it is [`cse_safe`](OpInfo::cse_safe) — a pure function of its
 /// parent values and the scalar [`IrNode::params`] captured in the IR, with
 /// **no side-channel payload**. Payload-carrying ops (CSR structures, gather
-/// indices, label vectors, dropout masks) export only summaries into
+/// and pair indices, label vectors, dropout masks) export only summaries into
 /// [`IrMeta`], so two nodes with identical IR footprints can still compute
 /// different values; rewrites must treat each such node as unique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,6 +158,7 @@ pub fn op_info(op: &str) -> Option<OpInfo> {
         // payload-carrying ops: pure given their payload, but the payload is
         // only summarised in IrMeta, so they are never CSE-safe
         "spmm" => Some(info(2, true, true)),
+        "pair_score" => Some(info(3, true, true)),
         "edge_softmax" | "gather_rows" | "nll_masked" | "dropout" => Some(info(1, true, true)),
         _ => None,
     }
@@ -194,6 +202,10 @@ impl Op {
                 label_max: idx.iter().map(|&i| labels[i]).max(),
             },
             Op::Dropout { mask, .. } => IrMeta::Mask { len: mask.len() },
+            Op::PairScore { a_idx, b_idx, .. } => IrMeta::Pairs {
+                len: a_idx.len(),
+                idx_max: a_idx.iter().chain(b_idx.iter()).copied().max(),
+            },
             _ => IrMeta::None,
         }
     }
@@ -267,6 +279,9 @@ mod tests {
         let g = t.gather_rows(y, Arc::new(vec![2, 0]));
         let r = t.relu(g);
         let a = t.add(r, r);
+        let w = t.leaf(Matrix::col_vec(&[0.5; 6]));
+        let b = t.leaf(Matrix::scalar(0.1));
+        let _ = t.pair_score(x, Arc::new(vec![0, 2]), Arc::new(vec![1, 1]), w, b);
         let _ = t.mean_all(a);
         for node in &t.export_ir().nodes {
             let info = op_info(&node.op)
@@ -274,6 +289,7 @@ mod tests {
             assert_eq!(info.arity, node.parents.len(), "op `{}`", node.op);
         }
         assert!(op_info("spmm").is_some_and(|i| !i.cse_safe()));
+        assert!(op_info("pair_score").is_some_and(|i| !i.cse_safe()));
         assert!(op_info("leaf").is_some_and(|i| !i.cse_safe()));
         assert!(op_info("add").is_some_and(|i| i.cse_safe()));
         assert!(op_info("no-such-op").is_none());

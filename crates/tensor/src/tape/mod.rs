@@ -113,6 +113,15 @@ pub(crate) enum Op {
         src: Var,
         idx: Arc<Vec<usize>>,
     },
+    /// Fused structure-mask pair scorer (see [`Tape::pair_score`]): one
+    /// `σ([h_a ; h_b ; h_a ⊙ h_b] · w + bias)` per `(a_idx[p], b_idx[p])`.
+    PairScore {
+        h: Var,
+        a_idx: Arc<Vec<usize>>,
+        b_idx: Arc<Vec<usize>>,
+        w: Var,
+        bias: Var,
+    },
     ConcatCols(Var, Var),
     ConcatRows(Var, Var),
     SumAll(Var),

@@ -85,6 +85,7 @@ impl Op {
             Op::NllMasked { .. } => "nll_masked",
             Op::EdgeSoftmax { .. } => "edge_softmax",
             Op::GatherRows { .. } => "gather_rows",
+            Op::PairScore { .. } => "pair_score",
             Op::ConcatCols(..) => "concat_cols",
             Op::ConcatRows(..) => "concat_rows",
             Op::SumAll(..) => "sum_all",
@@ -143,6 +144,11 @@ impl Op {
             Op::NllMasked { logp, .. } => f(*logp),
             Op::EdgeSoftmax { scores, .. } => f(*scores),
             Op::GatherRows { src, .. } => f(*src),
+            Op::PairScore { h, w, bias, .. } => {
+                f(*h);
+                f(*w);
+                f(*bias);
+            }
             Op::Dropout { src, .. } => f(*src),
         }
     }

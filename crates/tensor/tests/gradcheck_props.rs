@@ -148,6 +148,26 @@ proptest! {
     }
 
     #[test]
+    fn grad_pair_score(
+        h in small_mat(4, 3),
+        w in small_mat(9, 1),
+        w_additive in small_mat(6, 1),
+        bias in small_mat(1, 1),
+    ) {
+        // Duplicate (2,2)/(0,1) and self (2,2)/(3,3) pairs.
+        let a_idx = Arc::new(vec![0usize, 2, 2, 3, 1, 0]);
+        let b_idx = Arc::new(vec![1usize, 2, 2, 3, 0, 1]);
+        for w in [w, w_additive] {
+            let (a_idx, b_idx) = (a_idx.clone(), b_idx.clone());
+            assert_gradcheck(&[h.clone(), w, bias.clone()], TOL, move |t, vs| {
+                let s = t.pair_score(vs[0], a_idx.clone(), b_idx.clone(), vs[1], vs[2]);
+                let q = t.mul(s, s);
+                t.mean_all(q)
+            });
+        }
+    }
+
+    #[test]
     fn grad_row_sum_l2(a in small_mat(3, 4), b in small_mat(3, 4)) {
         assert_gradcheck(&[a, b], TOL, |t, vs| {
             let d = t.row_l2_distance(vs[0], vs[1]);

@@ -3,7 +3,20 @@
 //! trace and reconstruct to a single well-formed tree — including when a
 //! worker panics and `run_isolated` degrades the op to its serial path.
 
+use std::sync::{Mutex, MutexGuard};
+
 use ses_tensor::par;
+
+/// The three tests toggle the process-wide telemetry override and the
+/// worker-panic fault; run concurrently, one test's
+/// `set_enabled_override(None)` switches tracing off under another's open
+/// request. Each test holds this lock for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; its state is reset by the next test.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Span events for one trace, drained from the non-destructive snapshot.
 fn trace_events(trace: ses_obs::TraceId) -> Vec<ses_obs::trace::SpanEvent> {
@@ -15,6 +28,7 @@ fn trace_events(trace: ses_obs::TraceId) -> Vec<ses_obs::trace::SpanEvent> {
 
 #[test]
 fn worker_spans_join_the_submitting_request_trace() {
+    let _serial = serial();
     ses_obs::set_enabled_override(Some(true));
     let trace = {
         let req = ses_obs::trace::request("test.par_request");
@@ -50,6 +64,7 @@ fn worker_spans_join_the_submitting_request_trace() {
 
 #[test]
 fn panic_degraded_op_still_yields_one_well_formed_tree() {
+    let _serial = serial();
     ses_obs::set_enabled_override(Some(true));
     let trace = {
         let req = ses_obs::trace::request("test.degraded_request");
@@ -92,6 +107,7 @@ fn panic_degraded_op_still_yields_one_well_formed_tree() {
 
 #[test]
 fn spans_without_a_request_stay_out_of_every_trace() {
+    let _serial = serial();
     ses_obs::set_enabled_override(Some(true));
     let tasks: Vec<_> = (0..4)
         .map(|i| {

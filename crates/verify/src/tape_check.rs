@@ -60,8 +60,8 @@ pub fn op_determinism(op: &str) -> Option<DetClass> {
         "leaf" | "add" | "sub" | "mul" | "scale" | "add_scalar" | "mul_scalar_var"
         | "transpose" | "add_row_broadcast" | "mul_col_broadcast" | "sigmoid" | "relu"
         | "leaky_relu" | "elu" | "tanh" | "sqrt_eps" | "log_eps" | "exp" | "abs"
-        | "log_softmax_rows" | "nll_masked" | "gather_rows" | "concat_cols" | "concat_rows"
-        | "sum_all" | "mean_all" | "row_sum" | "dropout" => Some(DetClass::Serial),
+        | "log_softmax_rows" | "nll_masked" | "gather_rows" | "pair_score" | "concat_cols"
+        | "concat_rows" | "sum_all" | "mean_all" | "row_sum" | "dropout" => Some(DetClass::Serial),
         _ => None,
     }
 }
@@ -208,6 +208,36 @@ pub fn infer_shape(
                     src.0
                 )),
                 _ => Ok((idx_len, src.1)),
+            }
+        }
+        "pair_score" => {
+            arity(3)?;
+            let IrMeta::Pairs { len, idx_max } = *meta else {
+                return Err("`pair_score` requires Pairs metadata".to_string());
+            };
+            let (h, w, bias) = (parents[0], parents[1], parents[2]);
+            if w != (2 * h.1, 1) && w != (3 * h.1, 1) {
+                return Err(format!(
+                    "`pair_score` weight must be {}×1 or {}×1 for {}-wide rows, found {}×{}",
+                    2 * h.1,
+                    3 * h.1,
+                    h.1,
+                    w.0,
+                    w.1
+                ));
+            }
+            if bias != (1, 1) {
+                return Err(format!(
+                    "`pair_score` bias must be 1×1, found {}×{}",
+                    bias.0, bias.1
+                ));
+            }
+            match idx_max {
+                Some(mx) if mx >= h.0 => Err(format!(
+                    "`pair_score` endpoint {mx} out of bounds for {} rows",
+                    h.0
+                )),
+                _ => Ok((len, 1)),
             }
         }
         "nll_masked" => {
@@ -605,6 +635,25 @@ mod tests {
             infer_shape("matmul", &[(2, 3), (3, 5)], &IrMeta::None),
             Ok((2, 5))
         );
+    }
+
+    #[test]
+    fn infer_shape_checks_pair_score_operands() {
+        let meta = IrMeta::Pairs {
+            len: 7,
+            idx_max: Some(4),
+        };
+        for w in [(8, 1), (12, 1)] {
+            assert_eq!(
+                infer_shape("pair_score", &[(5, 4), w, (1, 1)], &meta),
+                Ok((7, 1))
+            );
+        }
+        assert!(infer_shape("pair_score", &[(5, 4), (4, 1), (1, 1)], &meta).is_err());
+        assert!(infer_shape("pair_score", &[(5, 4), (12, 1), (1, 2)], &meta).is_err());
+        assert!(infer_shape("pair_score", &[(4, 4), (12, 1), (1, 1)], &meta).is_err());
+        assert!(infer_shape("pair_score", &[(5, 4), (12, 1), (1, 1)], &IrMeta::None).is_err());
+        assert_eq!(op_determinism("pair_score"), Some(DetClass::Serial));
     }
 
     #[test]
