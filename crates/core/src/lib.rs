@@ -39,8 +39,5 @@ pub mod pairs;
 pub use config::{MaskedGraph, SesConfig, SesVariant};
 pub use explanation::Explanations;
 pub use mask::{MaskGenerator, MaskOutput};
-pub use model::{
-    explain_step_annotated, explain_step_ir, fit, quickstart_step_ir, run_epl, ExplainStepIr,
-    MaskSnapshot, SesReport, TrainedSes,
-};
+pub use model::{explain_step_ir, fit, run_epl, MaskSnapshot, SesReport, TrainedSes};
 pub use pairs::{construct_pairs, PairSets};

@@ -182,9 +182,6 @@ struct ExplainStep {
     l_xent: Var,
     l_sub: Var,
     l_m_val: Option<f32>,
-    /// Logits of the masked re-encoding pass (Eq. 8) — the forward-only
-    /// serving outputs, present when the variant re-encodes under masks.
-    masked_logits: Option<Var>,
     loss: Var,
 }
 
@@ -242,7 +239,6 @@ fn record_explain_step<E: Encoder + ?Sized>(
 
     // Eq. (8): masked re-encoding consistency loss
     let mut l_m_val = None;
-    let mut masked_logits = None;
     let mask_obj = if config.variant.use_masked_xent {
         let xm = tape.mul(masks.feature, x);
         let (view, map) = match config.masked_graph {
@@ -263,7 +259,6 @@ fn record_explain_step<E: Encoder + ?Sized>(
         };
         let l_m =
             tape.cross_entropy_masked(out_m.logits, ctx.labels.clone(), ctx.train_idx.clone());
-        masked_logits = Some(out_m.logits);
         l_m_val = Some(tape.value(l_m).scalar_value());
         let weighted_sub = tape.scale(l_sub, config.sub_loss_weight);
         let mut obj = tape.add(weighted_sub, l_m);
@@ -290,39 +285,7 @@ fn record_explain_step<E: Encoder + ?Sized>(
         l_xent,
         l_sub,
         l_m_val,
-        masked_logits,
         loss,
-    }
-}
-
-/// An exported explain-step tape annotated with the graph's observable
-/// roots: the loss node (training) and the inference outputs (masks +
-/// serving logits). This is the input contract of the `ses-ir` compiler —
-/// DCE slices the tape to the ancestors of `outputs`, so what counts as
-/// "observable" must be declared here, by the code that recorded the tape.
-#[derive(Debug, Clone)]
-pub struct ExplainStepIr {
-    /// The exported tape.
-    pub ir: ses_tensor::TapeIr,
-    /// Node id of the combined Eq. 9 training loss.
-    pub loss: usize,
-    /// Node ids of the inference-time outputs: feature mask `M_f`,
-    /// structure mask `M_s`, and the serving logits (masked re-encoding
-    /// when the variant records one, the plain forward otherwise).
-    pub outputs: Vec<usize>,
-}
-
-/// Extracts the IR + output annotations from one recorded step.
-fn annotate_step(step: &ExplainStep) -> ExplainStepIr {
-    let logits = step.masked_logits.unwrap_or(step.out.logits);
-    ExplainStepIr {
-        ir: step.tape.export_ir(),
-        loss: step.loss.index(),
-        outputs: vec![
-            step.masks.feature.index(),
-            step.masks.structure.index(),
-            logits.index(),
-        ],
     }
 }
 
@@ -336,13 +299,6 @@ fn annotate_step(step: &ExplainStep) -> ExplainStepIr {
 /// positive on this trace means the static verifier disagrees with what SES
 /// training actually records, not with a hand-written imitation of it.
 pub fn explain_step_ir() -> (ses_tensor::TapeIr, usize) {
-    let step = explain_step_annotated();
-    (step.ir, step.loss)
-}
-
-/// [`explain_step_ir`] plus inference-output annotations — the same
-/// two-triangle fixture step, packaged for the `ses-ir` compiler.
-pub fn explain_step_annotated() -> ExplainStepIr {
     let mut rng = StdRng::seed_from_u64(7);
     // Two feature-separable triangles joined by a bridge — 6 nodes, 2
     // classes, small enough that the 2-hop structure stays readable in
@@ -370,25 +326,7 @@ pub fn explain_step_annotated() -> ExplainStepIr {
     let mut encoder = ses_gnn::Gcn::new(graph.n_features(), 5, graph.n_classes(), &mut rng);
     let mut mask_gen = MaskGenerator::new(encoder.hidden_dim(), graph.n_features(), &mut rng);
     let step = record_explain_step(&mut encoder, &mut mask_gen, &graph, &ctx, &config, &mut rng);
-    annotate_step(&step)
-}
-
-/// Records one explainable-training step with the **quickstart** setup —
-/// `cora_like(Profile::Fast)`, GCN(features → 64 → classes), seed 0, default
-/// config — and exports its annotated IR. This is the realistic-scale input
-/// the `ses-ir` compile gate runs on in CI: same architecture, same
-/// recording path, same dataset generator as `examples/quickstart.rs`.
-pub fn quickstart_step_ir() -> ExplainStepIr {
-    let mut rng = StdRng::seed_from_u64(0);
-    let data = ses_data::realworld::cora_like(ses_data::Profile::Fast, &mut rng);
-    let graph = &data.graph;
-    let splits = Splits::classification(graph.n_nodes(), &mut rng);
-    let config = SesConfig::default();
-    let ctx = SesContext::build(graph, &splits, &config, &mut rng);
-    let mut encoder = ses_gnn::Gcn::new(graph.n_features(), 64, graph.n_classes(), &mut rng);
-    let mut mask_gen = MaskGenerator::new(encoder.hidden_dim(), graph.n_features(), &mut rng);
-    let step = record_explain_step(&mut encoder, &mut mask_gen, graph, &ctx, &config, &mut rng);
-    annotate_step(&step)
+    (step.tape.export_ir(), step.loss.index())
 }
 
 /// Fits SES on a graph: Algorithm 2 end to end.
@@ -439,7 +377,6 @@ pub fn fit<E: Encoder>(
             l_xent,
             l_sub,
             l_m_val,
-            masked_logits: _,
             loss,
         } = step;
         let loss_val = tape.value(loss).scalar_value();
@@ -1218,7 +1155,7 @@ mod tests {
 
     #[test]
     fn epl_nan_grad_fault_recovers_and_finishes_the_phase() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let rollbacks_before = ses_obs::metrics::TRAIN_RECOVER_ROLLBACKS.get();
         let detected_before = ses_obs::metrics::TRAIN_RECOVER_DETECTED.get();
         let mut rng = StdRng::seed_from_u64(26);
@@ -1239,7 +1176,6 @@ mod tests {
             ..Default::default()
         };
         let trained = fit(enc, mg, g, &splits, &cfg);
-        ses_obs::set_enabled_override(None);
         assert_eq!(
             trained.report.epl_loss_curve.len(),
             6,
@@ -1252,7 +1188,7 @@ mod tests {
 
     #[test]
     fn mask_phase_divergence_is_detected_and_fit_survives() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let mask_before = ses_obs::metrics::TRAIN_RECOVER_MASK_PHASE.get();
         let mut rng = StdRng::seed_from_u64(28);
         let d = realworld::polblogs_like(Profile::Fast, &mut rng);
@@ -1278,7 +1214,6 @@ mod tests {
             ..Default::default()
         };
         let trained = fit(enc, mg, g, &splits, &cfg);
-        ses_obs::set_enabled_override(None);
         assert!(
             ses_obs::metrics::TRAIN_RECOVER_MASK_PHASE.get() > mask_before,
             "the explain-phase sentinel must have fired"

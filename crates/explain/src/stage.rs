@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn traced_requests_record_stage_and_request_latencies() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let before: Vec<u64> = [
             &metrics::EXPLAIN_STAGE_EXTRACT_NS,
             &metrics::EXPLAIN_STAGE_ENCODE_NS,
@@ -161,7 +161,6 @@ mod tests {
         .collect();
         let mut ex = Fixed;
         let report = latency_probe(&mut ex, &[0, 1, 2]);
-        ses_obs::set_enabled_override(None);
         // All four stages plus the request histogram gained 3 samples each.
         for (i, h) in [
             &metrics::EXPLAIN_STAGE_EXTRACT_NS,
@@ -186,12 +185,11 @@ mod tests {
 
     #[test]
     fn each_traced_node_is_a_well_formed_trace_tree() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         ses_obs::trace::reset_events();
         let mut ex = Fixed;
         let _ = explain_node_traced(&mut ex, 7);
         let events = ses_obs::trace::events_snapshot();
-        ses_obs::set_enabled_override(None);
         let root = events
             .iter()
             .find(|e| e.name == "explain.request")

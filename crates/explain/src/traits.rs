@@ -40,10 +40,8 @@ pub fn explanation_auc(
     for &v in eval_nodes {
         let explained = {
             let _span = ses_obs::span!("explain.node");
-            let node_start = ses_obs::Stopwatch::start();
             let explained = crate::stage::explain_node_traced(explainer, v);
             ses_obs::metrics::EXPLAIN_NODES.incr();
-            ses_obs::metrics::EXPLAIN_NODE_NS.record(node_start.elapsed_ns());
             explained
         };
         // index explained edges for lookup (max over orientations)

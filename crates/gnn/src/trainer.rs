@@ -670,7 +670,7 @@ mod tests {
 
     #[test]
     fn nan_grad_fault_recovers_with_rollback_and_matches_budgeted_retries() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let rollbacks_before = ses_obs::metrics::TRAIN_RECOVER_ROLLBACKS.get();
         let detected_before = ses_obs::metrics::TRAIN_RECOVER_DETECTED.get();
         let (d, adj, splits, mut gcn) = fault_test_setup(31);
@@ -687,7 +687,6 @@ mod tests {
         };
         let report =
             train_node_classifier(&mut gcn, &d.graph, &adj, &splits, &cfg).expect("recovers");
-        ses_obs::set_enabled_override(None);
         assert_eq!(report.loss_curve.len(), 8, "full curve despite the fault");
         assert!(report.loss_curve.iter().all(|l| l.is_finite()));
         assert!(ses_obs::metrics::TRAIN_RECOVER_ROLLBACKS.get() > rollbacks_before);
@@ -763,7 +762,7 @@ mod tests {
 
     #[test]
     fn worker_panic_fault_degrades_and_run_completes() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let degraded_before = ses_obs::metrics::KERNEL_PANIC_DEGRADED.get();
         ses_tensor::par::set_thread_override(4);
         let (d, adj, splits, mut gcn) = fault_test_setup(34);
@@ -781,7 +780,6 @@ mod tests {
         let report =
             train_node_classifier(&mut gcn, &d.graph, &adj, &splits, &cfg).expect("degrades");
         ses_tensor::par::set_thread_override(0);
-        ses_obs::set_enabled_override(None);
         assert_eq!(report.loss_curve.len(), 4);
         assert!(
             ses_obs::metrics::KERNEL_PANIC_DEGRADED.get() > degraded_before,
@@ -791,7 +789,7 @@ mod tests {
 
     #[test]
     fn ckpt_io_fault_is_tolerated_by_default_and_fatal_when_strict() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let io_before = ses_obs::metrics::TRAIN_RECOVER_CKPT_IO_ERRORS.get();
         let dir = std::env::temp_dir().join("ses-gnn-test-ckpt-io");
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -816,7 +814,6 @@ mod tests {
             train_node_classifier(&mut gcn, &d.graph, &adj, &splits, &cfg).expect("tolerant");
         assert_eq!(report.loss_curve.len(), 3);
         assert!(ses_obs::metrics::TRAIN_RECOVER_CKPT_IO_ERRORS.get() > io_before);
-        ses_obs::set_enabled_override(None);
 
         let (d2, adj2, splits2, mut gcn2) = fault_test_setup(36);
         let strict_cfg = TrainConfig {

@@ -13,7 +13,7 @@ use ses_obs::json::Json;
 
 #[test]
 fn short_gcn_run_emits_well_formed_jsonl() {
-    ses_obs::set_enabled_override(Some(true));
+    let _obs = ses_obs::force_enabled(true);
     ses_obs::sink::begin_capture();
 
     const EPOCHS: usize = 5;
@@ -31,7 +31,6 @@ fn short_gcn_run_emits_well_formed_jsonl() {
     train_node_classifier(&mut gcn, g, &adj, &splits, &cfg).expect("training failed");
 
     let captured = ses_obs::sink::take_capture();
-    ses_obs::set_enabled_override(None);
 
     let mut epoch_records = 0usize;
     let mut last_epoch: Option<f64> = None;

@@ -1,7 +1,6 @@
 //! Analysis over JSONL telemetry files: span aggregation, per-epoch
-//! trends, noise-aware run diffing, and regeneration of measured-numbers
-//! tables in markdown documents. Library half of the `ses-obs` CLI, kept
-//! here so the logic is unit-testable without spawning processes.
+//! trends and noise-aware run diffing. Library half of the `ses-obs` CLI,
+//! kept here so the logic is unit-testable without spawning processes.
 
 use std::collections::BTreeMap;
 
@@ -299,150 +298,6 @@ pub fn diff(a: &Run, b: &Run, opts: DiffOptions) -> DiffReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Markdown table regeneration from bench_row records
-// ---------------------------------------------------------------------------
-
-/// Marker pair delimiting a regenerated table for one sheet:
-/// `<!-- BEGIN AUTOGEN:<sheet> -->` … `<!-- END AUTOGEN:<sheet> -->`.
-pub const BEGIN_MARKER: &str = "<!-- BEGIN AUTOGEN:";
-/// See [`BEGIN_MARKER`].
-pub const END_MARKER: &str = "<!-- END AUTOGEN:";
-
-/// Column order for sheets whose layout is curated; other sheets fall back
-/// to sorted field names.
-fn sheet_columns(sheet: &str) -> Option<&'static [&'static str]> {
-    match sheet {
-        "ir_compile" => Some(&[
-            "tape",
-            "nodes_before",
-            "nodes_after",
-            "dce_removed",
-            "cse_merged",
-            "peak_bytes_before",
-            "peak_bytes_after",
-            "node_reduction",
-            "byte_reduction",
-        ]),
-        _ => None,
-    }
-}
-
-fn format_cell(v: &Json) -> String {
-    match v {
-        Json::Str(s) => s.clone(),
-        // lint:allow(no-float-eq): fract()==0.0 is the idiomatic integrality
-        // test — deciding display format, not comparing measurements.
-        Json::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => format!("{}", *n as i64),
-        Json::Num(n) => format!("{n:.3}"),
-        Json::Bool(b) => b.to_string(),
-        Json::Null => "—".to_string(),
-        other => format!("{other:?}"),
-    }
-}
-
-/// Renders the markdown table for `sheet` from a run's `bench_row`
-/// records. Errors when the run has no rows for the sheet — regenerating
-/// from telemetry that never produced the numbers would silently blank the
-/// document.
-pub fn sheet_table(run: &Run, sheet: &str) -> Result<String, String> {
-    let rows: Vec<_> = run
-        .events("bench_row")
-        .filter(|r| get_str(r, "sheet") == Some(sheet))
-        .collect();
-    if rows.is_empty() {
-        return Err(format!("no bench_row records for sheet `{sheet}`"));
-    }
-    let owned_cols: Vec<String> = match sheet_columns(sheet) {
-        Some(cols) => cols.iter().map(|c| c.to_string()).collect(),
-        None => {
-            let mut keys: Vec<String> = rows
-                .iter()
-                .flat_map(|r| r.keys())
-                .filter(|k| !matches!(k.as_str(), "event" | "t_ms" | "sheet"))
-                .cloned()
-                .collect();
-            keys.sort();
-            keys.dedup();
-            keys
-        }
-    };
-    let mut out = String::new();
-    out.push('|');
-    for c in &owned_cols {
-        out.push_str(&format!(" {} |", c.replace('_', " ")));
-    }
-    out.push('\n');
-    out.push('|');
-    for _ in &owned_cols {
-        out.push_str("---|");
-    }
-    out.push('\n');
-    for row in rows {
-        out.push('|');
-        for c in &owned_cols {
-            let cell = row.get(c.as_str()).map_or("—".to_string(), format_cell);
-            out.push_str(&format!(" {cell} |"));
-        }
-        out.push('\n');
-    }
-    Ok(out)
-}
-
-/// Result of [`regen_markers`].
-#[derive(Debug, Clone)]
-pub struct RegenOutcome {
-    /// Regenerated document content.
-    pub content: String,
-    /// Whether the content differs from the input.
-    pub changed: bool,
-    /// Sheets whose tables were rewritten.
-    pub sheets: Vec<String>,
-}
-
-/// Rewrites every `AUTOGEN` marker section in `md` from the run's
-/// `bench_row` records. Errors on unterminated markers or sheets missing
-/// from the telemetry; text outside markers is untouched.
-pub fn regen_markers(md: &str, run: &Run) -> Result<RegenOutcome, String> {
-    let mut out = String::with_capacity(md.len());
-    let mut sheets = Vec::new();
-    let mut lines = md.lines().peekable();
-    while let Some(line) = lines.next() {
-        out.push_str(line);
-        out.push('\n');
-        let Some(rest) = line.trim().strip_prefix(BEGIN_MARKER) else {
-            continue;
-        };
-        let sheet = rest.trim_end_matches("-->").trim().to_string();
-        let end_line = format!("{END_MARKER}{sheet} -->");
-        let mut terminated = false;
-        for inner in lines.by_ref() {
-            if inner.trim() == end_line {
-                out.push_str(&sheet_table(run, &sheet)?);
-                out.push_str(inner);
-                out.push('\n');
-                terminated = true;
-                break;
-            }
-        }
-        if !terminated {
-            return Err(format!(
-                "marker `{BEGIN_MARKER}{sheet} -->` has no matching end"
-            ));
-        }
-        sheets.push(sheet);
-    }
-    // Preserve the original's trailing-newline shape.
-    if !md.ends_with('\n') && out.ends_with('\n') {
-        out.pop();
-    }
-    Ok(RegenOutcome {
-        changed: out != md,
-        sheets,
-        content: out,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,40 +412,5 @@ mod tests {
         let m = time_metrics(&a);
         assert!((m["stage/extract/p99_ms"] - 50.0).abs() < 1e-9);
         assert!((m["stage/rank/p99_ms"] - 1.0).abs() < 1e-9);
-    }
-
-    const BENCH_MD: &str = "# Doc\n\n<!-- BEGIN AUTOGEN:ir_compile -->\nstale\n<!-- END AUTOGEN:ir_compile -->\ntail\n";
-
-    fn bench_run() -> Run {
-        run_from(&[
-            "{\"event\":\"bench_row\",\"t_ms\":3,\"sheet\":\"ir_compile\",\
-                    \"tape\":\"explain_step\",\"nodes_before\":100,\"nodes_after\":60,\
-                    \"dce_removed\":30,\"cse_merged\":10,\"peak_bytes_before\":4096,\
-                    \"peak_bytes_after\":2048,\"node_reduction\":0.4,\"byte_reduction\":0.5}",
-        ])
-    }
-
-    #[test]
-    fn regen_rewrites_marker_sections_only() {
-        let out = regen_markers(BENCH_MD, &bench_run()).expect("regen");
-        assert!(out.changed);
-        assert_eq!(out.sheets, vec!["ir_compile".to_string()]);
-        assert!(out.content.starts_with("# Doc\n"));
-        assert!(out.content.ends_with("tail\n"));
-        assert!(!out.content.contains("stale"));
-        assert!(out
-            .content
-            .contains("| explain_step | 100 | 60 | 30 | 10 | 4096 | 2048 | 0.400 | 0.500 |"));
-        // Idempotent: regenerating the regenerated doc changes nothing.
-        let again = regen_markers(&out.content, &bench_run()).expect("regen twice");
-        assert!(!again.changed);
-    }
-
-    #[test]
-    fn regen_errors_on_missing_sheet_or_end_marker() {
-        let no_rows = run_from(&["{\"event\":\"epoch\",\"t_ms\":1}"]);
-        assert!(regen_markers(BENCH_MD, &no_rows).is_err());
-        let unterminated = "<!-- BEGIN AUTOGEN:ir_compile -->\nbody\n";
-        assert!(regen_markers(unterminated, &bench_run()).is_err());
     }
 }

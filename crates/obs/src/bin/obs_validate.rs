@@ -18,14 +18,18 @@
 //! * `bench_row` records carry a string `sheet` and only finite numbers;
 //! * at least one record of the required event kind exists (`epoch` by
 //!   default — an instrumented run that logged nothing is itself a
-//!   failure). The ses-ir compile gate passes `--require bench_row`.
+//!   failure). The serve-bench CI stage passes `--require bench_row`.
 //!
 //! `--prom` checks text-exposition shape: every line is a comment or a
 //! `name[{labels}] value` sample, names carry the `ses_` prefix, values are
-//! finite, and at least one typed metric exists. `--chrome` checks the
-//! trace-event document: a `traceEvents` array of complete (`ph:"X"`)
-//! events with numeric timestamps, whose `args.trace`/`span`/`parent` ids
-//! reassemble into well-formed trees (one root per trace, no orphans).
+//! finite, and at least one typed metric exists. Our own exporter writes
+//! only `counter`, `gauge` and `summary` types; `histogram` is accepted too,
+//! so the validator also reads exports from other tools.
+//!
+//! `--chrome` checks the trace-event document: a `traceEvents` array of
+//! complete (`ph:"X"`) events with numeric timestamps, whose
+//! `args.trace`/`span`/`parent` ids reassemble into well-formed trees (one
+//! root per trace, no orphans).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -300,11 +304,10 @@ mod tests {
 
     #[test]
     fn prom_mode_accepts_real_exports_and_rejects_garbage() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         ses_obs::metrics::SPMM_CALLS.add(1);
         ses_obs::metrics::EXPLAIN_REQUEST_NS.record(5_000);
         let text = ses_obs::export::prometheus_string();
-        ses_obs::set_enabled_override(None);
         assert!(super::validate_prom(&text).expect("real export must validate") > 0);
 
         assert!(super::validate_prom("").is_err());

@@ -14,11 +14,6 @@
 //!     Exit code 1 on a regression verdict (CI-friendly);
 //!     `--drill-slowdown F` multiplies run B's timings by F to prove the
 //!     regression path fires.
-//!
-//! ses-obs regen <run.jsonl> <doc.md> [--check]
-//!     Rewrites `<!-- BEGIN AUTOGEN:<sheet> -->` table sections in the
-//!     markdown document from the run's bench_row records. With `--check`,
-//!     writes nothing and exits 1 if the committed document is stale.
 //! ```
 
 use std::process::ExitCode;
@@ -28,8 +23,7 @@ use ses_obs::analyze::{self, DiffOptions, Run, Verdict};
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  ses-obs top <run.jsonl> [--n N]\n  ses-obs trend <run.jsonl>\n  \
-         ses-obs diff <a.jsonl> <b.jsonl> [--threshold F] [--abs-floor-ms F] [--drill-slowdown F]\n  \
-         ses-obs regen <run.jsonl> <doc.md> [--check]"
+         ses-obs diff <a.jsonl> <b.jsonl> [--threshold F] [--abs-floor-ms F] [--drill-slowdown F]"
     );
     ExitCode::FAILURE
 }
@@ -125,38 +119,6 @@ fn cmd_diff(path_a: &str, path_b: &str, opts: DiffOptions) -> Result<Verdict, St
     Ok(report.verdict)
 }
 
-fn cmd_regen(jsonl: &str, md_path: &str, check: bool) -> Result<bool, String> {
-    let run = Run::load(jsonl)?;
-    let md = std::fs::read_to_string(md_path).map_err(|e| format!("cannot read {md_path}: {e}"))?;
-    let out = analyze::regen_markers(&md, &run)?;
-    if out.sheets.is_empty() {
-        return Err(format!("{md_path}: no AUTOGEN marker sections found"));
-    }
-    if check {
-        if out.changed {
-            eprintln!(
-                "ses-obs regen --check: {md_path} is stale for sheets {:?} — \
-                 run `ses-obs regen {jsonl} {md_path}` and commit",
-                out.sheets
-            );
-        } else {
-            println!(
-                "ses-obs regen --check: {md_path} is up to date ({:?})",
-                out.sheets
-            );
-        }
-        return Ok(out.changed);
-    }
-    if out.changed {
-        std::fs::write(md_path, &out.content)
-            .map_err(|e| format!("cannot write {md_path}: {e}"))?;
-        println!("ses-obs regen: rewrote {:?} in {md_path}", out.sheets);
-    } else {
-        println!("ses-obs regen: {md_path} already up to date");
-    }
-    Ok(false)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -204,17 +166,6 @@ fn main() -> ExitCode {
                     Err(e) => Err(e),
                 }
             }
-            _ => return usage(),
-        },
-        "regen" => match rest {
-            [jsonl, md] => cmd_regen(jsonl, md, false).map(|_| ExitCode::SUCCESS),
-            [jsonl, md, flag] if flag == "--check" => cmd_regen(jsonl, md, true).map(|stale| {
-                if stale {
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }),
             _ => return usage(),
         },
         _ => return usage(),

@@ -2,8 +2,7 @@
 //! trace-event JSON from completed trace trees.
 //!
 //! * **Prometheus** ([`prometheus_string`]) — counters and gauges verbatim,
-//!   power-of-two histograms as cumulative `_bucket{le=...}` series, and
-//!   the log-linear latency instruments as summaries with
+//!   and the log-linear latency instruments as summaries with
 //!   p50/p90/p99/p99.9 `quantile` labels. Written to the path in
 //!   `SES_OBS_PROM_FILE` at summary time, so a run ends with a scrapeable
 //!   snapshot without any server in the loop.
@@ -50,28 +49,6 @@ pub fn prometheus_string() -> String {
         let name = prom_name(g.name());
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name} {}", g.get());
-    }
-    for h in metrics::histograms() {
-        let name = prom_name(h.name());
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        let mut cum = 0u64;
-        for b in 0..metrics::HIST_BUCKETS {
-            let n = h.bucket_count(b);
-            if n == 0 {
-                continue;
-            }
-            cum += n;
-            // Upper bound of a power-of-two bucket is the next floor - 1.
-            let le = if b + 1 < metrics::HIST_BUCKETS {
-                metrics::bucket_floor(b + 1).saturating_sub(1)
-            } else {
-                u64::MAX
-            };
-            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
-        }
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count());
-        let _ = writeln!(out, "{name}_sum {}", h.sum());
-        let _ = writeln!(out, "{name}_count {}", h.count());
     }
     for h in metrics::log_histograms() {
         let name = prom_name(h.name());
@@ -147,16 +124,12 @@ mod tests {
 
     #[test]
     fn prometheus_lines_are_well_formed() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         metrics::SPMM_CALLS.add(3);
-        metrics::EXPLAIN_NODE_NS.record(1500);
         metrics::EXPLAIN_REQUEST_NS.record(42_000);
         let text = prometheus_string();
-        crate::set_enabled_override(None);
 
         assert!(text.contains("# TYPE ses_kernel_spmm_calls counter"));
-        assert!(text.contains("# TYPE ses_explain_node_ns histogram"));
-        assert!(text.contains("ses_explain_node_ns_bucket{le=\"+Inf\"}"));
         assert!(text.contains("# TYPE ses_explain_request_ns summary"));
         assert!(text.contains("ses_explain_request_ns{quantile=\"0.99\"}"));
         for line in text.lines() {
@@ -167,31 +140,6 @@ mod tests {
             assert!(name.starts_with("ses_"), "bad metric name in `{line}`");
             assert!(value.parse::<f64>().is_ok(), "bad value in `{line}`");
         }
-    }
-
-    #[test]
-    fn histogram_buckets_are_cumulative() {
-        crate::set_enabled_override(Some(true));
-        metrics::EXPLAIN_NODE_NS.reset();
-        for v in [10u64, 100, 1000, 10_000] {
-            metrics::EXPLAIN_NODE_NS.record(v);
-        }
-        let text = prometheus_string();
-        crate::set_enabled_override(None);
-        let mut last = 0u64;
-        let mut saw_bucket = false;
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("ses_explain_node_ns_bucket{le=") {
-                let value: u64 = rest.rsplit_once(' ').unwrap().1.parse().unwrap();
-                assert!(value >= last, "bucket counts must be cumulative: {line}");
-                last = value;
-                saw_bucket = true;
-            }
-        }
-        assert!(saw_bucket);
-        // Sibling tests may record into the same registry instrument
-        // concurrently, so the floor is 4, not an exact count.
-        assert!(last >= 4, "+Inf bucket must cover all recorded values");
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Log-linear (HDR-style) latency histogram with bounded relative error.
 //!
-//! The power-of-two [`crate::Histogram`] answers "what order of magnitude"
-//! but cannot state a defensible p99: one bucket spans a full octave, so a
-//! quantile read off it can be wrong by 2×. This histogram subdivides each
-//! octave into [`SUB_BUCKETS`] linear sub-buckets, which caps the half-width
-//! of any bucket at 1/64 of its lower bound — the documented
-//! [`RELATIVE_ERROR_BOUND`] for every quantile estimate. Values below
-//! [`LINEAR_MAX`] get one bucket each and are reported exactly.
+//! A power-of-two histogram cannot state a defensible p99: one bucket
+//! spans a full octave, so a quantile read off it can be wrong by 2×. This
+//! histogram subdivides each octave into [`SUB_BUCKETS`] linear
+//! sub-buckets, which caps the half-width of any bucket at 1/64 of its
+//! lower bound — the documented [`RELATIVE_ERROR_BOUND`] for every
+//! quantile estimate. Values below [`LINEAR_MAX`] get one bucket each and
+//! are reported exactly.
 //!
 //! The record path is the same shape as the rest of the registry: an
 //! [`crate::enabled`] check, then three relaxed atomic RMWs — safe to call
@@ -295,7 +295,7 @@ mod tests {
 
     #[test]
     fn static_histogram_records_concurrently() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         static H: LogHistogram = LogHistogram::new("test.loghist");
         H.reset();
         std::thread::scope(|s| {
@@ -313,16 +313,14 @@ mod tests {
         // p50 of 0..4000 is ~2000; bound plus bucket width slack.
         let p50 = snap.quantile(0.5);
         assert!((1900..=2100).contains(&p50), "p50 {p50}");
-        crate::set_enabled_override(None);
     }
 
     #[test]
     fn disabled_histogram_records_nothing() {
-        crate::set_enabled_override(Some(false));
+        let _obs = crate::force_enabled(false);
         static H: LogHistogram = LogHistogram::new("test.loghist_off");
         H.record(42);
         assert_eq!(H.count(), 0);
-        crate::set_enabled_override(None);
     }
 
     #[test]

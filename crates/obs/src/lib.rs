@@ -11,10 +11,10 @@
 //!   Aggregation is a fixed table of atomics keyed by the span's static
 //!   name, so guards dropped concurrently from the `par` fork/join workers
 //!   never take a lock.
-//! * [`metrics`] — typed [`Counter`]s, [`Gauge`]s and [`Histogram`]s behind
-//!   relaxed atomics, plus the well-known instruments the tensor/gnn/core
-//!   crates increment (kernel invocations, nnz processed, allocation churn,
-//!   tape nodes, sanitizer events).
+//! * [`metrics`] — typed [`Counter`]s and [`Gauge`]s behind relaxed
+//!   atomics, plus the well-known instruments the tensor/gnn/core crates
+//!   increment (kernel invocations, nnz processed, allocation churn, tape
+//!   nodes, sanitizer events).
 //! * [`sink`] + [`Record`] — JSONL event records (per-epoch training
 //!   telemetry, explanation latency, timing rows) written to the file named
 //!   by `SES_OBS_FILE`.
@@ -36,7 +36,7 @@
 //! * [`export`] — Prometheus text-format snapshots (`SES_OBS_PROM_FILE`)
 //!   and Chrome trace-event JSON (`SES_OBS_CHROME`).
 //! * [`analyze`] — JSONL telemetry analysis (top spans, trends, run
-//!   diffing, markdown regeneration) behind the `ses-obs` CLI.
+//!   diffing) behind the `ses-obs` CLI.
 //! * [`time`] — the [`Stopwatch`] library code must use instead of raw
 //!   `std::time::Instant` (enforced by the `no-raw-instant-in-lib` lint).
 //!
@@ -67,7 +67,7 @@ pub mod time;
 pub mod trace;
 
 pub use hist::{HistSnapshot, LogHistogram};
-pub use metrics::{Counter, Gauge, Histogram};
+pub use metrics::{Counter, Gauge};
 pub use record::Record;
 pub use slo::SloPolicy;
 pub use spans::{SpanGuard, SpanStat};
@@ -124,6 +124,38 @@ pub fn set_enabled_override(state: Option<bool>) {
         Some(true) => 2,
     };
     OVERRIDE.store(v, Ordering::Relaxed); // ordering: independent on/off flag; no data guarded
+}
+
+/// Serialises [`force_enabled`] guards across the process.
+static FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Telemetry forced on or off for as long as this guard lives; see
+/// [`force_enabled`].
+pub struct EnabledGuard {
+    prev: u8,
+    _lock: std::sync::MutexGuard<'static, ()>,
+}
+
+impl Drop for EnabledGuard {
+    fn drop(&mut self) {
+        OVERRIDE.store(self.prev, Ordering::Relaxed); // ordering: independent on/off flag; no data guarded
+    }
+}
+
+/// Forces telemetry on (`true`) or off until the returned guard drops,
+/// then restores the override that was in place before.
+///
+/// The switch is one process-wide flag, and the test harness runs tests on
+/// parallel threads, so a test that toggles it or asserts a telemetry delta
+/// holds this guard: guards take a process-wide lock, so no sibling can
+/// flip the flag mid-test. The lock ignores poisoning, so one failed test
+/// does not fail every later one. Inside the guard's lifetime a test may
+/// still call [`set_enabled_override`]; dropping the guard undoes it.
+pub fn force_enabled(on: bool) -> EnabledGuard {
+    let lock = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = OVERRIDE.load(Ordering::Relaxed); // ordering: independent on/off flag; no data guarded
+    set_enabled_override(Some(on));
+    EnabledGuard { prev, _lock: lock }
 }
 
 /// Measures the per-iteration wall-clock cost of the *disabled*
@@ -183,17 +215,39 @@ mod tests {
 
     #[test]
     fn override_controls_enabled() {
-        set_enabled_override(Some(true));
+        let _obs = force_enabled(true);
         assert!(enabled());
         set_enabled_override(Some(false));
         assert!(!enabled());
         set_enabled_override(None);
         let _ = enabled(); // env decision; just must not panic
-        set_enabled_override(Some(true)); // leave on for sibling tests
+    }
+
+    #[test]
+    fn guard_restores_the_previous_override() {
+        let first = force_enabled(true);
+        let prev = first.prev;
+        set_enabled_override(Some(false));
+        drop(first);
+        let second = force_enabled(true);
+        assert_eq!(second.prev, prev);
+    }
+
+    #[test]
+    fn guard_survives_a_panicking_holder() {
+        let panicked = std::thread::spawn(|| {
+            let _obs = force_enabled(true);
+            panic!("test body failed while holding the guard");
+        })
+        .join();
+        assert!(panicked.is_err());
+        let _obs = force_enabled(true);
+        assert!(enabled());
     }
 
     #[test]
     fn disabled_probe_is_cheap_and_positive() {
+        let _obs = force_enabled(false);
         let ns = disabled_path_cost_ns(10_000);
         assert!(ns >= 0.0);
         // A relaxed load + branch costs nanoseconds, not microseconds.

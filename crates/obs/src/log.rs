@@ -62,7 +62,7 @@ macro_rules! outln {
 mod tests {
     #[test]
     fn info_mirrors_to_active_sink() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         crate::sink::begin_capture();
         crate::info!("hello {}", 42);
         let cap = crate::sink::take_capture();
@@ -71,6 +71,5 @@ mod tests {
         let obj = v.as_object().unwrap();
         assert_eq!(obj.get("event").unwrap().as_str(), Some("log"));
         assert_eq!(obj.get("msg").unwrap().as_str(), Some("hello 42"));
-        crate::set_enabled_override(None);
     }
 }

@@ -1,11 +1,12 @@
-//! Typed metrics registry: counters, gauges, and power-of-two histograms
-//! over relaxed atomics, plus the workspace's well-known instruments.
+//! Typed metrics registry: counters and gauges over relaxed atomics, plus
+//! the workspace's well-known instruments (including the log-linear
+//! latency histograms of [`crate::hist`]).
 //!
 //! Every instrument checks [`crate::enabled`] before touching its atomic,
 //! so the disabled path is a load and a branch. The registry is static —
 //! instruments are `static` items registered in the fixed arrays at the
-//! bottom of this module so [`counters`]/[`histograms`] can enumerate them
-//! for the summary table and the sink.
+//! bottom of this module so [`counters`]/[`log_histograms`] can enumerate
+//! them for the summary table and the sink.
 
 use std::sync::atomic::Ordering;
 
@@ -95,101 +96,6 @@ impl Gauge {
     }
 }
 
-/// Number of histogram buckets: bucket `b` counts values whose bit length
-/// is `b` (i.e. `v in [2^(b-1), 2^b)`), bucket 0 counts zero, the last
-/// bucket absorbs everything ≥ 2^62.
-pub const HIST_BUCKETS: usize = 64;
-
-/// Power-of-two bucketed histogram (values are `u64`, e.g. nanoseconds).
-pub struct Histogram {
-    name: &'static str,
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-/// Bucket index for a value: 0 for 0, else its bit length clamped to the
-/// last bucket.
-pub fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        ((64 - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
-    }
-}
-
-/// Inclusive lower bound of bucket `b` (0 for bucket 0, else `2^(b-1)`).
-pub fn bucket_floor(b: usize) -> u64 {
-    if b == 0 {
-        0
-    } else {
-        1u64 << (b - 1)
-    }
-}
-
-impl Histogram {
-    pub const fn new(name: &'static str) -> Self {
-        Histogram {
-            name,
-            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    pub fn record(&self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed); // ordering: per-bucket tally; no payload
-        self.count.fetch_add(1, Ordering::Relaxed); // ordering: relaxed tally; torn count/sum tolerated
-        self.sum.fetch_add(v, Ordering::Relaxed); // ordering: relaxed tally; torn count/sum tolerated
-        self.max.fetch_max(v, Ordering::Relaxed); // ordering: high-watermark tally
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed) // ordering: telemetry read; staleness is fine
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed) // ordering: telemetry read; staleness is fine
-    }
-
-    pub fn max(&self) -> u64 {
-        self.max.load(Ordering::Relaxed) // ordering: telemetry read; staleness is fine
-    }
-
-    pub fn mean(&self) -> f64 {
-        let c = self.count();
-        if c == 0 {
-            0.0
-        } else {
-            // lint:allow(no-f64-in-kernels): summary arithmetic, not a kernel
-            self.sum() as f64 / c as f64
-        }
-    }
-
-    pub fn bucket_count(&self, b: usize) -> u64 {
-        self.buckets[b].load(Ordering::Relaxed) // ordering: telemetry read; staleness is fine
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed); // ordering: test/bench zeroing; nobody synchronises on it
-        }
-        self.count.store(0, Ordering::Relaxed); // ordering: test/bench zeroing
-        self.sum.store(0, Ordering::Relaxed); // ordering: test/bench zeroing
-        self.max.store(0, Ordering::Relaxed); // ordering: test/bench zeroing
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Well-known instruments. Incremented from ses-tensor / ses-gnn / ses-core /
 // ses-explain; enumerated by the summary table via the registries below.
@@ -233,8 +139,6 @@ pub static SAN_LEAK_PRUNED: Counter = Counter::new("sanitize.leak.pruned");
 
 /// Nodes explained via the `ses-explain` trait harness.
 pub static EXPLAIN_NODES: Counter = Counter::new("explain.nodes");
-/// Per-node explanation-generation latency (nanoseconds).
-pub static EXPLAIN_NODE_NS: Histogram = Histogram::new("explain.node_ns");
 
 /// Static checks evaluated by `ses-verify` (tape-IR nodes + partition cases).
 pub static VERIFY_CHECKS: Counter = Counter::new("verify.checks");
@@ -405,7 +309,6 @@ static ALL_COUNTERS: [&Counter; 54] = [
     &SERVE_DEGRADED_PREDICT_ONLY,
 ];
 static ALL_GAUGES: [&Gauge; 2] = [&TAPE_PEAK_NODES, &SCRATCH_HIGHWATER];
-static ALL_HISTOGRAMS: [&Histogram; 1] = [&EXPLAIN_NODE_NS];
 static ALL_LOG_HISTOGRAMS: [&LogHistogram; 7] = [
     &EXPLAIN_STAGE_EXTRACT_NS,
     &EXPLAIN_STAGE_ENCODE_NS,
@@ -426,11 +329,6 @@ pub fn gauges() -> &'static [&'static Gauge] {
     &ALL_GAUGES
 }
 
-/// All well-known histograms.
-pub fn histograms() -> &'static [&'static Histogram] {
-    &ALL_HISTOGRAMS
-}
-
 /// All well-known log-linear histograms (SLO-grade latency instruments).
 pub fn log_histograms() -> &'static [&'static LogHistogram] {
     &ALL_LOG_HISTOGRAMS
@@ -441,63 +339,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_index_is_power_of_two_log() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(7), 3);
-        assert_eq!(bucket_index(8), 4);
-        assert_eq!(bucket_index(1023), 10);
-        assert_eq!(bucket_index(1024), 11);
-        assert_eq!(bucket_index(u64::MAX), HIST_BUCKETS - 1);
-        // floors invert the index mapping
-        for b in 1..HIST_BUCKETS - 1 {
-            assert_eq!(bucket_index(bucket_floor(b)), b);
-            assert_eq!(bucket_index(bucket_floor(b + 1) - 1), b);
-        }
-    }
-
-    #[test]
-    fn histogram_records_and_summarises() {
-        crate::set_enabled_override(Some(true));
-        static H: Histogram = Histogram::new("test.hist");
-        H.reset();
-        for v in [0u64, 1, 3, 8, 8, 1000] {
-            H.record(v);
-        }
-        assert_eq!(H.count(), 6);
-        assert_eq!(H.sum(), 1020);
-        assert_eq!(H.max(), 1000);
-        assert_eq!(H.bucket_count(0), 1); // the zero
-        assert_eq!(H.bucket_count(1), 1); // 1
-        assert_eq!(H.bucket_count(2), 1); // 3
-        assert_eq!(H.bucket_count(4), 2); // 8, 8
-        assert_eq!(H.bucket_count(10), 1); // 1000
-        assert!((H.mean() - 170.0).abs() < 1e-9);
-        crate::set_enabled_override(None);
-    }
-
-    #[test]
     fn disabled_instruments_stay_zero() {
-        crate::set_enabled_override(Some(false));
+        let _obs = crate::force_enabled(false);
         static C: Counter = Counter::new("test.counter");
         static G: Gauge = Gauge::new("test.gauge");
-        static H: Histogram = Histogram::new("test.hist2");
         C.reset();
         C.add(5);
         G.set(9);
-        H.record(42);
         assert_eq!(C.get(), 0);
         assert_eq!(G.get(), 0);
-        assert_eq!(H.count(), 0);
-        crate::set_enabled_override(None);
     }
 
     #[test]
     fn counter_accumulates_across_threads() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         static C: Counter = Counter::new("test.mt_counter");
         C.reset();
         std::thread::scope(|s| {
@@ -510,6 +365,5 @@ mod tests {
             }
         });
         assert_eq!(C.get(), 4000);
-        crate::set_enabled_override(None);
     }
 }

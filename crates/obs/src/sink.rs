@@ -111,24 +111,22 @@ mod tests {
 
     #[test]
     fn capture_roundtrip() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         begin_capture();
         write_line("{\"event\":\"a\"}");
         write_line("{\"event\":\"b\"}");
         let got = take_capture();
         assert_eq!(got, "{\"event\":\"a\"}\n{\"event\":\"b\"}\n");
-        crate::set_enabled_override(None);
     }
 
     #[test]
     fn disabled_sink_drops_lines() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         begin_capture();
         crate::set_enabled_override(Some(false));
         write_line("{\"event\":\"dropped\"}");
         crate::set_enabled_override(Some(true));
         let got = take_capture();
         assert!(got.is_empty());
-        crate::set_enabled_override(None);
     }
 }

@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn observe_counts_breaches_per_stage() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         let (p, _) = SloPolicy::parse("extract=1us,epoch=1ms");
         let before_extract = metrics::SLO_BREACH_EXTRACT.get();
         let before_epoch = metrics::SLO_BREACH_EPOCH.get();
@@ -197,17 +197,15 @@ mod tests {
         assert!(p.observe("unbudgeted", u64::MAX)); // no budget, no breach
         assert_eq!(metrics::SLO_BREACH_EXTRACT.get(), before_extract + 1);
         assert_eq!(metrics::SLO_BREACH_EPOCH.get(), before_epoch + 1);
-        crate::set_enabled_override(None);
     }
 
     #[test]
     fn unknown_stage_breaches_aggregate_into_other() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         let (p, _) = SloPolicy::parse("custom_stage=1ns");
         let before = metrics::SLO_BREACH_OTHER.get();
         assert!(!p.observe("custom_stage", 100));
         assert_eq!(metrics::SLO_BREACH_OTHER.get(), before + 1);
-        crate::set_enabled_override(None);
     }
 
     #[test]

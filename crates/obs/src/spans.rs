@@ -15,80 +15,15 @@
 //!   recorded time includes its children (self-time can be derived from the
 //!   table when needed).
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 
-use crate::sync::{AtomicU64, AtomicU8, Mutex};
+use crate::sync::AtomicU64;
 use std::time::Instant;
 
 /// Maximum number of distinct span names per process. Claiming a slot past
 /// this capacity silently drops the span (never panics in the hot path).
 const CAP: usize = 128;
-
-// ---------------------------------------------------------------------------
-// Collapsed-stack capture (`SES_OBS_TREE=1`)
-//
-// Flat per-name aggregation loses *where* time was spent: `kernel.spmm`
-// under `trainer.forward` and under `ses.phase.epl` land in one row. Tree
-// mode additionally keys time by the full span path on the recording thread
-// and exports flamegraph-compatible collapsed-stack lines
-// (`a;b;c <self_ns>`) at summary time. It is opt-in precisely because the
-// record path stops being lock-free: each guard drop takes a mutex on a
-// shared path table, which is fine for a profiling run and wrong for a
-// production one.
-// ---------------------------------------------------------------------------
-
-/// Tree-mode override: 0 = follow `SES_OBS_TREE`, 1 = forced off,
-/// 2 = forced on (tests).
-static TREE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn tree_env() -> bool {
-    static FROM_ENV: OnceLock<bool> = OnceLock::new();
-    *FROM_ENV.get_or_init(|| match std::env::var("SES_OBS_TREE") {
-        Ok(v) => !matches!(v.as_str(), "" | "0" | "off"),
-        Err(_) => false,
-    })
-}
-
-/// Is collapsed-stack capture active? (`SES_OBS_TREE=1`, or a test
-/// override.) Spans still honour the global [`crate::enabled`] gate first.
-pub fn tree_enabled() -> bool {
-    // ordering: independent mode flag; no data guarded
-    match TREE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => tree_env(),
-    }
-}
-
-/// Forces tree capture on/off regardless of `SES_OBS_TREE` (`None` returns
-/// to the environment setting). Test helper, mirroring
-/// [`crate::set_enabled_override`].
-pub fn set_tree_override(on: Option<bool>) {
-    TREE_OVERRIDE.store(
-        match on {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        },
-        Ordering::Relaxed, // ordering: independent mode flag; no data guarded
-    );
-}
-
-/// `path -> (count, self_ns)` over every recording thread.
-fn tree_table() -> &'static Mutex<HashMap<String, (u64, u64)>> {
-    static TABLE: OnceLock<Mutex<HashMap<String, (u64, u64)>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-thread_local! {
-    /// This thread's open-span path: `(name, accumulated child ns)` per
-    /// level. Child time is subtracted on drop so each collapsed line
-    /// carries *self* time, the value flamegraph tooling expects.
-    static PATH: std::cell::RefCell<Vec<(&'static str, u64)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
 
 struct Slot {
     name: OnceLock<&'static str>,
@@ -145,7 +80,6 @@ fn slot_for(name: &'static str) -> Option<&'static Slot> {
 pub struct SpanGuard {
     slot: Option<&'static Slot>,
     start: Option<Instant>,
-    in_tree: bool,
     trace: Option<crate::trace::Frame>,
 }
 
@@ -157,42 +91,11 @@ impl Drop for SpanGuard {
             slot.total_ns.fetch_add(ns, Ordering::Relaxed); // ordering: relaxed tally; rows read as telemetry
             slot.max_ns.fetch_max(ns, Ordering::Relaxed); // ordering: high-watermark tally
             DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-            if self.in_tree {
-                record_tree_exit(ns);
-            }
             if let Some(frame) = self.trace.take() {
                 let name = slot.name.get().copied().unwrap_or("span");
                 crate::trace::exit_span(frame, name, start, ns);
             }
         }
-    }
-}
-
-/// Pops the innermost path entry and charges its self time (elapsed minus
-/// accumulated child time) to the collapsed stack it closes; the full
-/// elapsed time rolls up into the parent's child accumulator.
-fn record_tree_exit(elapsed_ns: u64) {
-    let (path, self_ns) = PATH.with(|p| {
-        let mut stack = p.borrow_mut();
-        let Some((name, child_ns)) = stack.pop() else {
-            return (String::new(), 0);
-        };
-        let mut path = String::new();
-        for (frame, _) in stack.iter() {
-            path.push_str(frame);
-            path.push(';');
-        }
-        path.push_str(name);
-        if let Some((_, parent_child)) = stack.last_mut() {
-            *parent_child = parent_child.saturating_add(elapsed_ns);
-        }
-        (path, elapsed_ns.saturating_sub(child_ns))
-    });
-    if !path.is_empty() {
-        let mut table = tree_table().lock().unwrap_or_else(|e| e.into_inner());
-        let entry = table.entry(path).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += self_ns;
     }
 }
 
@@ -203,53 +106,20 @@ pub fn span(name: &'static str) -> SpanGuard {
         return SpanGuard {
             slot: None,
             start: None,
-            in_tree: false,
             trace: None,
         };
     }
     let slot = slot_for(name);
-    let mut in_tree = false;
     let mut trace = None;
     if slot.is_some() {
         DEPTH.with(|d| d.set(d.get() + 1));
-        if tree_enabled() {
-            PATH.with(|p| p.borrow_mut().push((name, 0)));
-            in_tree = true;
-        }
         trace = crate::trace::enter_span();
     }
     SpanGuard {
         slot,
         start: slot.map(|_| Instant::now()),
-        in_tree,
         trace,
     }
-}
-
-/// Collapsed-stack lines (`path;to;span <self_ns>`) aggregated across all
-/// threads since the last [`tree_reset`], sorted by path for stable output.
-/// Feed straight into flamegraph tooling. Empty when tree mode never
-/// captured anything.
-pub fn tree_lines() -> Vec<String> {
-    let table = tree_table().lock().unwrap_or_else(|e| e.into_inner());
-    let mut lines: Vec<(String, u64)> = table
-        .iter()
-        .map(|(path, &(_, self_ns))| (path.clone(), self_ns))
-        .collect();
-    drop(table);
-    lines.sort();
-    lines
-        .into_iter()
-        .map(|(path, ns)| format!("{path} {ns}"))
-        .collect()
-}
-
-/// Clears the collapsed-stack table (open spans keep recording).
-pub fn tree_reset() {
-    tree_table()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
 }
 
 /// One row of the aggregated span table.
@@ -318,7 +188,7 @@ mod tests {
 
     #[test]
     fn nesting_tracks_depth_and_aggregates() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         let before = snapshot();
         let base = depth();
         {
@@ -342,73 +212,22 @@ mod tests {
         assert!(outer.total_ns >= inner.max_ns);
         assert!(inner.total_ns > 0);
         assert!(inner.max_ns <= inner.total_ns);
-        crate::set_enabled_override(None);
     }
 
     #[test]
     fn disabled_span_records_nothing() {
-        crate::set_enabled_override(Some(false));
+        let _obs = crate::force_enabled(false);
         let before = snapshot();
         {
             let _g = span("test.disabled");
         }
         let delta = delta_since(&before);
         assert!(delta.iter().all(|s| s.name != "test.disabled"));
-        crate::set_enabled_override(None);
-    }
-
-    #[test]
-    fn tree_mode_collapses_stacks_with_self_time() {
-        crate::set_enabled_override(Some(true));
-        set_tree_override(Some(true));
-        tree_reset();
-        {
-            let _a = span("test.tree_outer");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            {
-                let _b = span("test.tree_inner");
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-        }
-        let lines = tree_lines();
-        set_tree_override(None);
-        crate::set_enabled_override(None);
-
-        let ns_of = |prefix: &str| -> u64 {
-            let line = lines
-                .iter()
-                .find(|l| l.rsplit_once(' ').is_some_and(|(p, _)| p == prefix))
-                .unwrap_or_else(|| panic!("missing collapsed line for {prefix}: {lines:?}"));
-            line.rsplit_once(' ').unwrap().1.parse().expect("ns value")
-        };
-        let outer_self = ns_of("test.tree_outer");
-        let inner_self = ns_of("test.tree_outer;test.tree_inner");
-        // Each sleep is ~2ms of *self* time at its own level: the inner
-        // sleep must not be double-counted into the outer line.
-        assert!(inner_self >= 1_000_000, "inner self {inner_self}ns");
-        assert!(outer_self >= 1_000_000, "outer self {outer_self}ns");
-    }
-
-    #[test]
-    fn tree_mode_off_records_no_paths() {
-        crate::set_enabled_override(Some(true));
-        set_tree_override(Some(false));
-        tree_reset();
-        {
-            let _a = span("test.tree_off");
-        }
-        let lines = tree_lines();
-        set_tree_override(None);
-        crate::set_enabled_override(None);
-        assert!(
-            lines.iter().all(|l| !l.contains("test.tree_off")),
-            "tree table must stay empty with tree mode off: {lines:?}"
-        );
     }
 
     #[test]
     fn cross_thread_aggregation_sums() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         let before = snapshot();
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -422,6 +241,5 @@ mod tests {
         let delta = delta_since(&before);
         let w = delta.iter().find(|s| s.name == "test.worker").unwrap();
         assert_eq!(w.count, 40);
-        crate::set_enabled_override(None);
     }
 }

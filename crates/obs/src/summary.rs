@@ -35,7 +35,7 @@ fn fmt_count(n: u64) -> String {
 }
 
 /// Renders the summary table: span aggregates sorted by total time, then
-/// the nonzero counters/gauges, then histogram digests. Empty string when
+/// the nonzero counters/gauges, then latency quantiles. Empty string when
 /// nothing was recorded.
 pub fn summary_string() -> String {
     let mut out = String::new();
@@ -66,19 +66,6 @@ pub fn summary_string() -> String {
         }
     }
 
-    if spans::tree_enabled() {
-        let lines = spans::tree_lines();
-        if !lines.is_empty() {
-            let _ = writeln!(
-                out,
-                "── span tree (collapsed stacks, self ns) ──────────────"
-            );
-            for line in lines {
-                let _ = writeln!(out, "{line}");
-            }
-        }
-    }
-
     let counters: Vec<_> = metrics::counters().iter().filter(|c| c.get() > 0).collect();
     let gauges: Vec<_> = metrics::gauges().iter().filter(|g| g.get() != 0).collect();
     if !counters.is_empty() || !gauges.is_empty() {
@@ -91,27 +78,6 @@ pub fn summary_string() -> String {
         }
         for g in gauges {
             let _ = writeln!(out, "{:<28} {:>12}", g.name(), g.get());
-        }
-    }
-
-    let hists: Vec<_> = metrics::histograms()
-        .iter()
-        .filter(|h| h.count() > 0)
-        .collect();
-    if !hists.is_empty() {
-        let _ = writeln!(
-            out,
-            "── histograms ─────────────────────────────────────────"
-        );
-        for h in hists {
-            let _ = writeln!(
-                out,
-                "{:<28} n={} mean={} max={}",
-                h.name(),
-                fmt_count(h.count()),
-                fmt_ns(h.mean() as u64),
-                fmt_ns(h.max())
-            );
         }
     }
 
@@ -167,7 +133,7 @@ mod tests {
 
     #[test]
     fn summary_includes_recorded_activity() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         {
             let _g = crate::spans::span("test.summary_phase");
         }
@@ -175,7 +141,6 @@ mod tests {
         let s = summary_string();
         assert!(s.contains("test.summary_phase"));
         assert!(s.contains("tape.nodes"));
-        crate::set_enabled_override(None);
     }
 
     #[test]

@@ -300,7 +300,7 @@ mod tests {
 
     #[test]
     fn request_records_root_and_children() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         let trace;
         {
             let req = request("test.request");
@@ -318,12 +318,11 @@ mod tests {
         let inner = ours.iter().find(|e| e.name == "test.req_inner").unwrap();
         assert_eq!(outer.parent, root.span);
         assert_eq!(inner.parent, outer.span);
-        crate::set_enabled_override(None);
     }
 
     #[test]
     fn spans_outside_a_request_record_no_events() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         {
             let _g = crate::spans::span("test.untraced");
         }
@@ -332,22 +331,20 @@ mod tests {
             after.iter().all(|e| e.name != "test.untraced"),
             "span without an active trace must not buffer events"
         );
-        crate::set_enabled_override(None);
     }
 
     #[test]
     fn disabled_request_is_inert() {
-        crate::set_enabled_override(Some(false));
+        let _obs = crate::force_enabled(false);
         let req = request("test.request_off");
         assert!(req.trace_id().is_none());
         assert!(current().is_none());
         drop(req);
-        crate::set_enabled_override(None);
     }
 
     #[test]
     fn adoption_links_worker_spans_to_submitting_trace() {
-        crate::set_enabled_override(Some(true));
+        let _obs = crate::force_enabled(true);
         let trace;
         {
             let req = request("test.adopt_request");
@@ -369,7 +366,6 @@ mod tests {
             .filter(|e| e.trace == trace.0 && e.name == "test.adopt_worker")
             .count();
         assert_eq!(workers, 2);
-        crate::set_enabled_override(None);
     }
 
     #[test]

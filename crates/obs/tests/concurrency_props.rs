@@ -16,11 +16,6 @@ use proptest::prelude::*;
 use ses_obs::hist::{HistSnapshot, LogHistogram, RELATIVE_ERROR_BOUND};
 use ses_obs::trace::{self, EVENT_CAP};
 
-/// Both tests flip the process-wide enabled override and the second owns the
-/// global trace buffer; serialize them so libtest's parallel runner cannot
-/// interleave the toggles.
-static GLOBAL_OBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Exact rank-based quantile matching `HistSnapshot::quantile` semantics.
 fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
@@ -35,8 +30,7 @@ proptest! {
         chunks in proptest::collection::vec(
             proptest::collection::vec(0u64..10_000_000_000, 1..256), 2..7),
     ) {
-        let _serial = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         static H: LogHistogram = LogHistogram::new("test.concurrency_props");
         H.reset();
         std::thread::scope(|s| {
@@ -49,7 +43,6 @@ proptest! {
             }
         });
         let concurrent = H.snapshot();
-        ses_obs::set_enabled_override(None);
 
         let all: Vec<u64> = chunks.iter().flatten().copied().collect();
         let mut reference = HistSnapshot::new();
@@ -90,8 +83,7 @@ proptest! {
     fn trace_dropped_equals_issued_minus_buffered_on_overflow(
         extra in 1usize..512,
     ) {
-        let _serial = GLOBAL_OBS.lock().unwrap_or_else(|e| e.into_inner());
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         trace::reset_events();
         let dropped_before = ses_obs::metrics::TRACE_DROPPED.get();
 
@@ -111,7 +103,6 @@ proptest! {
 
         let buffered = trace::take_events().len();
         let dropped = ses_obs::metrics::TRACE_DROPPED.get() - dropped_before;
-        ses_obs::set_enabled_override(None);
 
         prop_assert_eq!(buffered, EVENT_CAP, "buffer must clamp at EVENT_CAP");
         prop_assert_eq!(

@@ -88,7 +88,7 @@ proptest! {
     ) {
         // Record each chunk into one shared atomic histogram from its own
         // thread; the result must equal the serial single-thread snapshot.
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         static H: LogHistogram = LogHistogram::new("test.props_mt");
         H.reset();
         std::thread::scope(|s| {
@@ -101,7 +101,6 @@ proptest! {
             }
         });
         let concurrent = H.snapshot();
-        ses_obs::set_enabled_override(None);
 
         let all: Vec<u64> = chunks.iter().flatten().copied().collect();
         let serial = snapshot_of(&all);

@@ -222,7 +222,7 @@ fn corrupt_file(path: &std::path::Path, damage: usize, mode: usize) {
 /// `trainer.recover.corrupt_ckpt_skipped` counter.
 #[test]
 fn corrupt_skip_counter_moves() {
-    ses_obs::set_enabled_override(Some(true));
+    let _obs = ses_obs::force_enabled(true);
     let dir = fresh_dir();
     let base = dir.join("train.ckpt");
     let ckpt = build_ckpt(5, 15, 0.01, &[1, 2, 3, 4], &[2, 2], &[1.0, -2.0]);
@@ -241,5 +241,4 @@ fn corrupt_skip_counter_moves() {
     assert_eq!(after, before + 1, "one skipped sibling, one count");
 
     let _ = std::fs::remove_dir_all(&dir);
-    ses_obs::set_enabled_override(None);
 }

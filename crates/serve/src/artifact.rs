@@ -3,22 +3,20 @@
 //! Serving is forward-only: no tape, no optimiser, no mutation. A
 //! [`ModelArtifact`] bundles everything the request path reads — the graph,
 //! the per-node predictions, the global SES masks ([`Explanations`]), an
-//! optional owned gradient-saliency table (degradation-ladder step 3), an
-//! optional compiled [`InferencePlan`] (provenance that the artifact's tape
-//! passed translation validation), and optionally the checkpoint it was
-//! restored from (resolved through the corruption-hardened
-//! [`ses_resilience::latest_checkpoint`], so a torn newest rotation file
-//! falls back to the previous copy instead of failing startup).
+//! optional owned gradient-saliency table (degradation-ladder step 3), and
+//! optionally the checkpoint it was restored from (resolved through the
+//! corruption-hardened [`ses_resilience::latest_checkpoint`], so a torn
+//! newest rotation file falls back to the previous copy instead of failing
+//! startup).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ses_core::{ExplainStepIr, Explanations};
+use ses_core::Explanations;
 use ses_explain::SaliencyTable;
 use ses_graph::Graph;
-use ses_ir::{CompileError, InferencePlan};
 use ses_resilience::{latest_checkpoint, CheckpointError, TrainCheckpoint};
 use ses_tensor::Matrix;
 
@@ -34,8 +32,6 @@ pub struct ModelArtifact {
     pub k: usize,
     /// Owned gradient-saliency fallback (ladder step 3), when available.
     pub saliency: Option<SaliencyTable>,
-    /// Compiled inference plan, when the artifact was plan-checked.
-    pub plan: Option<InferencePlan>,
     /// `(path, epoch)` of the checkpoint the artifact restored, if any.
     pub checkpoint: Option<(PathBuf, u64)>,
 }
@@ -64,7 +60,6 @@ impl ModelArtifact {
             explanations,
             k,
             saliency: None,
-            plan: None,
             checkpoint: None,
         }
     }
@@ -115,18 +110,6 @@ impl ModelArtifact {
         let ckpt = TrainCheckpoint::read_from(&path)?;
         self.checkpoint = Some((path, ckpt.epoch));
         Ok(ckpt.epoch)
-    }
-
-    /// Plan-checks the artifact: compiles `step`'s exported tape through
-    /// the translation-validated `ses-ir` pipeline and stores the resulting
-    /// [`InferencePlan`]. Startup fails loudly on a rejected rewrite — a
-    /// serving binary must not run on an artifact whose inference program
-    /// failed validation.
-    pub fn attach_plan(&mut self, step: &ExplainStepIr) -> Result<&InferencePlan, CompileError> {
-        let plan = ses_ir::compile(&step.ir, Some(step.loss), &step.outputs)?;
-        self.plan = Some(plan);
-        // lint:allow(no-unwrap): stored on the line above
-        Ok(self.plan.as_ref().expect("just stored"))
     }
 
     /// The predicted class of `node`, if it is in the served graph.

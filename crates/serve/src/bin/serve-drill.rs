@@ -2,13 +2,13 @@
 //! fires.
 //!
 //! Builds a synthetic serving artifact over the PolBlogs stand-in, attaches
-//! checkpoint provenance and a translation-validated inference plan, then
-//! serves a scripted request sequence under an ambient serve-path
-//! `SES_FAULT` spec (`slow-stage@<stage>`, `panic@request-<n>`,
-//! `cache-poison`). Exit 0 requires that every request completes (possibly
-//! degraded), that at least one request shed under the overload burst, and
-//! that the recovery counter matching the injected fault moved — a drill
-//! that "passes" without exercising its net is a drill failure.
+//! checkpoint provenance, then serves a scripted request sequence under an
+//! ambient serve-path `SES_FAULT` spec (`slow-stage@<stage>`,
+//! `panic@request-<n>`, `cache-poison`). Exit 0 requires that every request
+//! completes (possibly degraded), that at least one request shed under the
+//! overload burst, and that the recovery counter matching the injected
+//! fault moved — a drill that "passes" without exercising its net is a
+//! drill failure.
 //!
 //! With `SES_RECOVERY=off` the nets are removed: the panic boundary is
 //! gone (an injected panic kills the process), a deadline breach or a
@@ -45,7 +45,7 @@ fn main() {
     let mut artifact = ModelArtifact::synthetic(d.graph, 2, 17);
 
     // Provenance: write a checkpoint and restore it through the
-    // corruption-hardened resolver, then plan-check the quickstart tape.
+    // corruption-hardened resolver.
     let ckpt_base =
         std::env::temp_dir().join(format!("ses-serve-drill-{}.ckpt", std::process::id()));
     let ckpt = ses_resilience::TrainCheckpoint {
@@ -68,11 +68,6 @@ fn main() {
         }
     }
     let _ = std::fs::remove_file(&rotated);
-    let step = ses_core::explain_step_annotated();
-    if let Err(e) = artifact.attach_plan(&step) {
-        eprintln!("serve-drill: inference plan rejected: {e}");
-        std::process::exit(1);
-    }
 
     let n_nodes = artifact.graph.n_nodes();
     let server = Server::new(

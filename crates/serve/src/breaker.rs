@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn trips_after_threshold_and_cools_down() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let b = CircuitBreaker::new(2, 3);
         assert_eq!(b.route(), Route::Full);
         b.record_failure();
@@ -113,12 +113,11 @@ mod tests {
         b.record_success();
         assert!(!b.is_open());
         assert_eq!(b.route(), Route::Full);
-        ses_obs::set_enabled_override(None);
     }
 
     #[test]
     fn half_open_probe_failure_retrips_immediately() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let b = CircuitBreaker::new(3, 1);
         for _ in 0..3 {
             b.record_failure();
@@ -129,6 +128,5 @@ mod tests {
         b.record_failure();
         assert!(b.is_open(), "single probe failure re-opens");
         assert_eq!(metrics::SERVE_BREAKER_OPEN.get(), before + 1);
-        ses_obs::set_enabled_override(None);
     }
 }

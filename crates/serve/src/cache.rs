@@ -241,17 +241,16 @@ mod tests {
 
     #[test]
     fn hit_after_put_miss_before() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let c = ExplanationCache::new(8, 1 << 20);
         assert_eq!(c.get(1), Lookup::Miss);
         c.put(1, ex(3));
         assert_eq!(c.get(1), Lookup::Hit(ex(3)));
-        ses_obs::set_enabled_override(None);
     }
 
     #[test]
     fn poisoned_entry_detected_and_removed() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let c = ExplanationCache::new(8, 1 << 20);
         c.arm_poison();
         c.put(9, ex(2));
@@ -259,12 +258,11 @@ mod tests {
         assert_eq!(c.get(9), Lookup::Poisoned);
         assert_eq!(metrics::SERVE_CACHE_POISONED.get(), before + 1);
         assert_eq!(c.get(9), Lookup::Miss, "poisoned entry was evicted");
-        ses_obs::set_enabled_override(None);
     }
 
     #[test]
     fn entry_cap_evicts_lru() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let c = ExplanationCache::new(2, 1 << 20);
         c.put(1, ex(1));
         c.put(2, ex(1));
@@ -274,12 +272,11 @@ mod tests {
         assert_eq!(c.get(2), Lookup::Miss, "LRU entry 2 evicted");
         assert!(matches!(c.get(1), Lookup::Hit(_)));
         assert!(matches!(c.get(3), Lookup::Hit(_)));
-        ses_obs::set_enabled_override(None);
     }
 
     #[test]
     fn byte_cap_respected() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let per = entry_bytes(&ex(4));
         let c = ExplanationCache::new(100, 2 * per);
         c.put(1, ex(4));
@@ -287,7 +284,6 @@ mod tests {
         c.put(3, ex(4));
         assert!(c.bytes() <= 2 * per);
         assert_eq!(c.len(), 2);
-        ses_obs::set_enabled_override(None);
     }
 
     #[test]

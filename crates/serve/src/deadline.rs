@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn zero_budget_is_expired_and_names_the_stage() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let before = metrics::SERVE_DEADLINE_BREACH.get();
         let d = Deadline::start(0);
         assert!(d.expired());
@@ -82,7 +82,6 @@ mod tests {
             Err(ServeError::DeadlineExceeded { stage: "mask" })
         );
         assert_eq!(metrics::SERVE_DEADLINE_BREACH.get(), before + 1);
-        ses_obs::set_enabled_override(None);
     }
 
     #[test]

@@ -513,7 +513,7 @@ mod tests {
 
     #[test]
     fn healthy_request_serves_full_then_cache() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let s = small_server(ServeConfig::default());
         let r0 = s.serve_one(0).expect("full");
         assert_eq!(r0.tier, Tier::Full);
@@ -527,12 +527,11 @@ mod tests {
         assert_eq!(r1.tier, Tier::Cache);
         assert!(!r1.degraded, "healthy cache hit is not degraded");
         assert_eq!(r1.edges, r0.edges);
-        ses_obs::set_enabled_override(None);
     }
 
     #[test]
     fn full_queue_sheds_newest() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let s = small_server(ServeConfig {
             queue_capacity: 2,
             ..ServeConfig::default()
@@ -548,23 +547,21 @@ mod tests {
         assert!(s.run_next().expect("req 0").1.is_ok());
         assert!(s.run_next().expect("req 1").1.is_ok());
         assert!(s.run_next().is_none());
-        ses_obs::set_enabled_override(None);
     }
 
     #[test]
     fn unknown_node_is_a_typed_error() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let s = small_server(ServeConfig::default());
         assert_eq!(
             s.serve_one(99).expect_err("out of range"),
             ServeError::UnknownNode { node: 99 }
         );
-        ses_obs::set_enabled_override(None);
     }
 
     #[test]
     fn injected_panic_is_isolated_and_retried() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let fault = FaultSpec::parse("panic@request-0").expect("valid");
         let s = small_server(ServeConfig {
             fault: Some(fault),
@@ -581,12 +578,11 @@ mod tests {
         assert!(metrics::SERVE_RETRIES.get() > retries_before);
         // Subsequent requests are unaffected.
         assert!(s.serve_one(3).is_ok());
-        ses_obs::set_enabled_override(None);
     }
 
     #[test]
     fn slow_stage_breaches_deadline_and_degrades() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let fault = FaultSpec::parse("slow-stage@encode").expect("valid");
         let s = small_server(ServeConfig {
             fault: Some(fault),
@@ -598,12 +594,11 @@ mod tests {
         assert_eq!(r.tier, Tier::PredictOnly);
         assert!(r.degraded);
         assert!(metrics::SERVE_DEADLINE_BREACH.get() > breach_before);
-        ses_obs::set_enabled_override(None);
     }
 
     #[test]
     fn slow_stage_without_recovery_is_a_typed_breach() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let fault = FaultSpec::parse("slow-stage@mask").expect("valid");
         let s = small_server(ServeConfig {
             fault: Some(fault),
@@ -615,12 +610,11 @@ mod tests {
             s.serve_one(0).expect_err("hard breach"),
             ServeError::DeadlineExceeded { stage: "mask" }
         );
-        ses_obs::set_enabled_override(None);
     }
 
     #[test]
     fn cache_poison_recovers_by_recompute() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let fault = FaultSpec::parse("cache-poison").expect("valid");
         let s = small_server(ServeConfig {
             fault: Some(fault),
@@ -636,12 +630,11 @@ mod tests {
         // Third time: the clean rewrite serves from cache.
         let r2 = s.serve_one(0).expect("clean cache");
         assert_eq!(r2.tier, Tier::Cache);
-        ses_obs::set_enabled_override(None);
     }
 
     #[test]
     fn cache_poison_without_recovery_is_a_hard_error() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let fault = FaultSpec::parse("cache-poison").expect("valid");
         let s = small_server(ServeConfig {
             fault: Some(fault),
@@ -653,6 +646,5 @@ mod tests {
             s.serve_one(0).expect_err("poisoned hit is fatal"),
             ServeError::CachePoisoned
         );
-        ses_obs::set_enabled_override(None);
     }
 }

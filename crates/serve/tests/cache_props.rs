@@ -4,25 +4,11 @@
 //! operation sequence, and the `serve.cache.{hit,miss,evict}` counters
 //! reconcile exactly with the operations performed.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ses_obs::metrics;
 use ses_serve::cache::{content_key, Explanation, ExplanationCache, Lookup};
-
-/// The cache counters are process-global and the test harness runs tests on
-/// parallel threads; counter-delta assertions serialise on this lock. Tests
-/// that only *move* counters (without asserting deltas) take it too, so a
-/// reconciliation window never sees foreign increments.
-fn counter_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Fisher–Yates with a seeded rng (workspace rule: no thread_rng).
 fn shuffled<T: Clone>(items: &[T], seed: u64) -> Vec<T> {
@@ -105,7 +91,9 @@ proptest! {
         cap_units in 0usize..12,
         packed_ops in proptest::collection::vec(0u64..u64::MAX, 1..48),
     ) {
-        let _guard = counter_lock();
+        // Moves the process-global cache counters, so it holds the telemetry
+        // guard too: a reconciliation window never sees foreign increments.
+        let _obs = ses_obs::force_enabled(true);
         let unit = std::mem::size_of::<(usize, usize, f32)>() + 64;
         let max_bytes = cap_units * unit;
         let cache = ExplanationCache::new(max_entries, max_bytes);
@@ -128,8 +116,7 @@ proptest! {
         max_entries in 1usize..6,
         packed_ops in proptest::collection::vec(0u64..u64::MAX, 1..40),
     ) {
-        let _guard = counter_lock();
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let cache = ExplanationCache::new(max_entries, usize::MAX);
         let hit_0 = metrics::SERVE_CACHE_HIT.get();
         let miss_0 = metrics::SERVE_CACHE_MISS.get();
@@ -181,14 +168,12 @@ proptest! {
             puts_evicting,
             "every cap-driven eviction counted once"
         );
-        ses_obs::set_enabled_override(None);
     }
 }
 
 #[test]
 fn poison_counts_are_separate_from_evictions() {
-    let _guard = counter_lock();
-    ses_obs::set_enabled_override(Some(true));
+    let _obs = ses_obs::force_enabled(true);
     let cache = ExplanationCache::new(4, usize::MAX);
     let evict_0 = metrics::SERVE_CACHE_EVICT.get();
     let poison_0 = metrics::SERVE_CACHE_POISONED.get();
@@ -205,5 +190,4 @@ fn poison_counts_are_separate_from_evictions() {
         evict_0,
         "…and not as a cap eviction"
     );
-    ses_obs::set_enabled_override(None);
 }

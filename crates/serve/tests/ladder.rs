@@ -20,7 +20,7 @@ fn two_triangle_server(cfg: ServeConfig) -> Server {
 
 #[test]
 fn ladder_steps_down_full_cache_saliency_predict_only() {
-    ses_obs::set_enabled_override(Some(true));
+    let _obs = ses_obs::force_enabled(true);
     // panic@request-2 with no retries and a hair-trigger breaker: request 2
     // fails its only attempt and every later request routes degraded.
     let server = two_triangle_server(ServeConfig {
@@ -92,12 +92,11 @@ fn ladder_steps_down_full_cache_saliency_predict_only() {
     // Every degraded response still came from a live process that keeps
     // serving: the cache-hit counter moved and nothing errored.
     assert!(metrics::SERVE_CACHE_HIT.get() >= hit_0 + 2);
-    ses_obs::set_enabled_override(None);
 }
 
 #[test]
 fn shed_then_recover_under_burst() {
-    ses_obs::set_enabled_override(Some(true));
+    let _obs = ses_obs::force_enabled(true);
     let server = two_triangle_server(ServeConfig {
         queue_capacity: 3,
         ..ServeConfig::default()
@@ -122,5 +121,4 @@ fn shed_then_recover_under_burst() {
         served += 1;
     }
     assert_eq!(served, 3, "admitted work survives the burst");
-    ses_obs::set_enabled_override(None);
 }

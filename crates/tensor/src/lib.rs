@@ -47,5 +47,5 @@ pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Param, Sgd};
 pub use sparse::{CsrMatrix, CsrStructure};
 pub use tape::dropout_mask;
-pub use tape::{op_info, IrMeta, IrNode, OpInfo, TapeIr};
 pub use tape::{sanitize_enabled, Leak, LeakBudget, LeakKind, Tape, Var};
+pub use tape::{IrMeta, IrNode, TapeIr};

@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn run_isolated_counts_degradations() {
-        ses_obs::set_enabled_override(Some(true));
+        let _obs = ses_obs::force_enabled(true);
         let before = ses_obs::metrics::KERNEL_PANIC_DEGRADED.get();
         arm_worker_panic(0);
         let out = run_isolated(
@@ -472,7 +472,6 @@ mod tests {
             || (0..8).map(|i| i + 1).collect::<Vec<_>>(),
         );
         disarm_worker_panic();
-        ses_obs::set_enabled_override(None);
         assert_eq!(out.len(), 8);
         assert!(ses_obs::metrics::KERNEL_PANIC_DEGRADED.get() > before);
     }

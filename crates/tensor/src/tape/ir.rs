@@ -104,66 +104,6 @@ impl TapeIr {
     }
 }
 
-/// Static execution metadata for a tape op, keyed by its IR name.
-///
-/// This is the contract the `ses-ir` rewrite passes rely on: an op may only
-/// be merged with (or substituted for) another node on value-number evidence
-/// alone when it is [`cse_safe`](OpInfo::cse_safe) — a pure function of its
-/// parent values and the scalar [`IrNode::params`] captured in the IR, with
-/// **no side-channel payload**. Payload-carrying ops (CSR structures, gather
-/// and pair indices, label vectors, dropout masks) export only summaries into
-/// [`IrMeta`], so two nodes with identical IR footprints can still compute
-/// different values; rewrites must treat each such node as unique.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpInfo {
-    /// Number of tape parents the op consumes.
-    pub arity: usize,
-    /// Whether the output is a deterministic function of the parent values,
-    /// `params`, and the node's payload (false only for `leaf`, whose value
-    /// is stored data the IR never sees).
-    pub pure: bool,
-    /// Whether the op carries side-channel data beyond `params`/`parents`
-    /// that the IR only summarises (sparse structure contents, index lists,
-    /// labels, dropout masks).
-    pub has_payload: bool,
-}
-
-impl OpInfo {
-    /// True when two nodes with equal op name, `params`, `meta` and
-    /// value-equal parents provably compute the same value — the only
-    /// license for common-subexpression elimination.
-    pub fn cse_safe(&self) -> bool {
-        self.pure && !self.has_payload && self.arity > 0
-    }
-}
-
-/// Static metadata for a known op name, `None` for ops outside the registry.
-/// The registry covers exactly the ops [`Op::name`] can produce; `ses-verify`
-/// keeps its determinism registry aligned with this one by test.
-pub fn op_info(op: &str) -> Option<OpInfo> {
-    let info = |arity, pure, has_payload| OpInfo {
-        arity,
-        pure,
-        has_payload,
-    };
-    match op {
-        "leaf" => Some(info(0, false, true)),
-        // payload-free element-wise / structural unary ops
-        "scale" | "add_scalar" | "sigmoid" | "relu" | "leaky_relu" | "elu" | "tanh"
-        | "sqrt_eps" | "log_eps" | "exp" | "abs" | "log_softmax_rows" | "transpose" | "sum_all"
-        | "mean_all" | "row_sum" => Some(info(1, true, false)),
-        // payload-free binary ops
-        "add" | "sub" | "mul" | "mul_scalar_var" | "matmul" | "add_row_broadcast"
-        | "mul_col_broadcast" | "concat_cols" | "concat_rows" => Some(info(2, true, false)),
-        // payload-carrying ops: pure given their payload, but the payload is
-        // only summarised in IrMeta, so they are never CSE-safe
-        "spmm" => Some(info(2, true, true)),
-        "pair_score" => Some(info(3, true, true)),
-        "edge_softmax" | "gather_rows" | "nll_masked" | "dropout" => Some(info(1, true, true)),
-        _ => None,
-    }
-}
-
 impl Op {
     /// Scalar attributes of the op as f32 bit patterns (for duplicate
     /// detection — bitwise equality sidesteps NaN/−0 comparison pitfalls).
@@ -267,32 +207,6 @@ mod tests {
         assert!(!ir.nodes[1].needs_grad);
         assert_eq!(ir.nodes[3].params, vec![2.0f32.to_bits()]);
         assert_eq!(ir.nodes[loss.index()].shape, (1, 1));
-    }
-
-    #[test]
-    fn op_info_matches_exported_arity() {
-        let mut t = Tape::new();
-        let s = Arc::new(CsrStructure::from_edges(3, 3, &[(0, 1), (2, 0)]));
-        let vals = t.leaf(Matrix::col_vec(&[1.0, 2.0]));
-        let x = t.leaf(Matrix::from_vec(3, 2, vec![1.0; 6]));
-        let y = t.spmm(s, vals, x);
-        let g = t.gather_rows(y, Arc::new(vec![2, 0]));
-        let r = t.relu(g);
-        let a = t.add(r, r);
-        let w = t.leaf(Matrix::col_vec(&[0.5; 6]));
-        let b = t.leaf(Matrix::scalar(0.1));
-        let _ = t.pair_score(x, Arc::new(vec![0, 2]), Arc::new(vec![1, 1]), w, b);
-        let _ = t.mean_all(a);
-        for node in &t.export_ir().nodes {
-            let info = op_info(&node.op)
-                .unwrap_or_else(|| panic!("op `{}` missing from registry", node.op));
-            assert_eq!(info.arity, node.parents.len(), "op `{}`", node.op);
-        }
-        assert!(op_info("spmm").is_some_and(|i| !i.cse_safe()));
-        assert!(op_info("pair_score").is_some_and(|i| !i.cse_safe()));
-        assert!(op_info("leaf").is_some_and(|i| !i.cse_safe()));
-        assert!(op_info("add").is_some_and(|i| i.cse_safe()));
-        assert!(op_info("no-such-op").is_none());
     }
 
     #[test]

@@ -24,7 +24,7 @@ mod reduce;
 mod sanitize;
 
 pub use elementwise::dropout_mask;
-pub use ir::{op_info, IrMeta, IrNode, OpInfo, TapeIr};
+pub use ir::{IrMeta, IrNode, TapeIr};
 pub use sanitize::{sanitize_enabled, Leak, LeakBudget, LeakKind};
 
 use std::sync::Arc;

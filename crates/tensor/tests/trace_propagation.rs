@@ -2,21 +2,11 @@
 //! recorded by `run_tasks` workers must land in the submitting request's
 //! trace and reconstruct to a single well-formed tree — including when a
 //! worker panics and `run_isolated` degrades the op to its serial path.
-
-use std::sync::{Mutex, MutexGuard};
+//!
+//! Each test holds the telemetry guard for its whole body, which also
+//! serialises the worker-panic fault the tests arm.
 
 use ses_tensor::par;
-
-/// The three tests toggle the process-wide telemetry override and the
-/// worker-panic fault; run concurrently, one test's
-/// `set_enabled_override(None)` switches tracing off under another's open
-/// request. Each test holds this lock for its whole body.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    // A failed sibling poisons the lock; its state is reset by the next test.
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Span events for one trace, drained from the non-destructive snapshot.
 fn trace_events(trace: ses_obs::TraceId) -> Vec<ses_obs::trace::SpanEvent> {
@@ -28,8 +18,7 @@ fn trace_events(trace: ses_obs::TraceId) -> Vec<ses_obs::trace::SpanEvent> {
 
 #[test]
 fn worker_spans_join_the_submitting_request_trace() {
-    let _serial = serial();
-    ses_obs::set_enabled_override(Some(true));
+    let _obs = ses_obs::force_enabled(true);
     let trace = {
         let req = ses_obs::trace::request("test.par_request");
         let trace = req.trace_id().expect("request opened");
@@ -45,7 +34,6 @@ fn worker_spans_join_the_submitting_request_trace() {
         assert_eq!(out, (0..8).map(|i| i * 2).collect::<Vec<_>>());
         trace
     };
-    ses_obs::set_enabled_override(None);
 
     let events = trace_events(trace);
     let workers = events
@@ -64,8 +52,7 @@ fn worker_spans_join_the_submitting_request_trace() {
 
 #[test]
 fn panic_degraded_op_still_yields_one_well_formed_tree() {
-    let _serial = serial();
-    ses_obs::set_enabled_override(Some(true));
+    let _obs = ses_obs::force_enabled(true);
     let trace = {
         let req = ses_obs::trace::request("test.degraded_request");
         let trace = req.trace_id().expect("request opened");
@@ -88,7 +75,6 @@ fn panic_degraded_op_still_yields_one_well_formed_tree() {
         assert_eq!(out, (1..=8).collect::<Vec<_>>());
         trace
     };
-    ses_obs::set_enabled_override(None);
 
     let events = trace_events(trace);
     // The serial recomputation alone contributes all 8 spans; the aborted
@@ -107,8 +93,7 @@ fn panic_degraded_op_still_yields_one_well_formed_tree() {
 
 #[test]
 fn spans_without_a_request_stay_out_of_every_trace() {
-    let _serial = serial();
-    ses_obs::set_enabled_override(Some(true));
+    let _obs = ses_obs::force_enabled(true);
     let tasks: Vec<_> = (0..4)
         .map(|i| {
             move || {
@@ -118,7 +103,6 @@ fn spans_without_a_request_stay_out_of_every_trace() {
         })
         .collect();
     let _ = par::run_tasks(2, tasks);
-    ses_obs::set_enabled_override(None);
     // No request was open, so no trace events may mention these spans.
     let stray = ses_obs::trace::events_snapshot()
         .into_iter()

@@ -1,6 +1,6 @@
 //! `ses-verify` — static analysis for the SES workspace.
 //!
-//! Three engines, one diagnostic vocabulary:
+//! Two engines, one diagnostic vocabulary:
 //!
 //! 1. **Tape-IR verifier** ([`tape_check`]) — walks a [`ses_tensor::TapeIr`]
 //!    (exported from a real recorded tape, or dry-run traced by
@@ -11,11 +11,7 @@
 //!    leaf is reachable within a [`ses_tensor::LeakBudget`]. This is the
 //!    runtime sanitizer's checklist run *before* any epoch, on shape
 //!    arithmetic alone.
-//! 2. **Structural-equivalence checker** ([`equiv`]) — value-numbering
-//!    bisimulation between an original IR and a rewritten one, the
-//!    translation-validation backbone of the `ses-ir` compiler (see
-//!    `docs/IR.md`).
-//! 3. **Partition safety checker** ([`partition`]) — treats the deterministic
+//! 2. **Partition safety checker** ([`partition`]) — treats the deterministic
 //!    parallel layer (`ses_tensor::par`) as a model-checking target: for
 //!    every shape up to a small-model bound (plus beyond-the-bound spot
 //!    checks near `usize::MAX`) it proves the row/entry partitions are
@@ -33,7 +29,6 @@
 //! that *would* run, with no values at all. See `docs/CORRECTNESS.md`.
 
 pub mod builder;
-pub mod equiv;
 pub mod partition;
 pub mod selfcheck;
 pub mod tape_check;
@@ -71,7 +66,7 @@ impl fmt::Display for Severity {
 pub struct Diag {
     /// Error or warning.
     pub severity: Severity,
-    /// Which engine produced it: `"tape-ir"`, `"equiv"` or `"partition"`.
+    /// Which engine produced it: `"tape-ir"` or `"partition"`.
     pub engine: &'static str,
     /// The specific check, e.g. `"shape"`, `"backward-coverage"`,
     /// `"determinism"`, `"leak-budget"`, `"coverage"`, `"disjointness"`.

@@ -17,7 +17,6 @@ use ses_graph::Graph;
 use ses_tensor::{CsrStructure, LeakBudget, Matrix, Tape, TapeIr};
 
 use crate::builder::IrBuilder;
-use crate::equiv::check_equivalence;
 use crate::partition::{
     beyond_bound_spotchecks, check_row_partition, edge_case_suite, exhaustive_csr_model,
     exhaustive_small_model, isolation_first_task_panic, PartitionReport,
@@ -39,32 +38,23 @@ pub enum SeededDefect {
     /// A floor-division row partitioner that drops the tail remainder and
     /// emits empty ranges — the partition checker must reject it.
     BrokenPartitioner,
-    /// A "rewrite" that swaps the operands of a subtraction while claiming
-    /// (via an identity witness) to preserve the computation — the
-    /// structural-equivalence checker must refute it.
-    BadRewrite,
 }
 
 impl SeededDefect {
     /// Parses a CLI spelling (`shape-mismatch`, `backward-gap`,
-    /// `broken-partitioner`, `bad-rewrite`).
+    /// `broken-partitioner`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "shape-mismatch" => Some(SeededDefect::ShapeMismatch),
             "backward-gap" => Some(SeededDefect::BackwardGap),
             "broken-partitioner" => Some(SeededDefect::BrokenPartitioner),
-            "bad-rewrite" => Some(SeededDefect::BadRewrite),
             _ => None,
         }
     }
 
     /// All CLI spellings, for usage text.
-    pub const SPELLINGS: [&'static str; 4] = [
-        "shape-mismatch",
-        "backward-gap",
-        "broken-partitioner",
-        "bad-rewrite",
-    ];
+    pub const SPELLINGS: [&'static str; 3] =
+        ["shape-mismatch", "backward-gap", "broken-partitioner"];
 }
 
 /// Everything one [`run`] produced.
@@ -323,35 +313,6 @@ pub fn run(defect: Option<SeededDefect>) -> SelfCheckReport {
                 },
             );
         }
-        Some(SeededDefect::BadRewrite) => {
-            // Original: loss = mean(a - b). "Rewrite": the subtraction's
-            // operands are swapped but the witness claims node-for-node
-            // equality — exactly the kind of silently wrong transform the
-            // equivalence checker exists to refute.
-            let build = |swap: bool| -> (TapeIr, usize) {
-                let mut b = IrBuilder::new();
-                let a = b.leaf(3, 3);
-                let c = b.leaf(3, 3);
-                let (lhs, rhs) = if swap { (c, a) } else { (a, c) };
-                let d = b
-                    .binary("sub", lhs, rhs)
-                    .unwrap_or_else(|e| unreachable!("fixture builds: {e}"));
-                let loss = b
-                    .unary("mean_all", d)
-                    .unwrap_or_else(|e| unreachable!("fixture builds: {e}"));
-                (b.finish(), loss)
-            };
-            let (original, loss) = build(false);
-            let (rewritten, loss_r) = build(true);
-            let witness: Vec<usize> = (0..rewritten.len()).collect();
-            report.tape_nodes += rewritten.len();
-            report.diags.extend(check_equivalence(
-                &original,
-                &rewritten,
-                &witness,
-                &[(loss, loss_r)],
-            ));
-        }
         Some(SeededDefect::BrokenPartitioner) => {
             let mut parts = PartitionReport::default();
             for n in 0..=12usize {
@@ -463,19 +424,6 @@ mod tests {
         assert!(r.diags.iter().any(|d| d.check == "monotonicity"));
         // Subjects carry the reproducing inputs.
         assert!(r.diags.iter().all(|d| d.subject.contains("n=")));
-    }
-
-    #[test]
-    fn seeded_bad_rewrite_is_caught() {
-        let r = run(Some(SeededDefect::BadRewrite));
-        assert!(!r.is_clean());
-        assert!(
-            r.diags
-                .iter()
-                .any(|d| d.engine == "equiv" && d.check == "congruence"),
-            "{:?}",
-            r.diags
-        );
     }
 
     #[test]
