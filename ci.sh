@@ -117,18 +117,6 @@ for fault in "slow-stage@encode" "panic@request-3" "cache-poison"; do
   fi
 done
 
-echo "== serve bench (throughput + p99 explain-latency gate)"
-# Release build: the gate is on tail latency, debug timings are meaningless.
-# The bench also asserts the deterministic overload burst sheds exactly the
-# overflow, and its bench_row record must validate.
-SES_BENCH_QUICK=1 \
-SES_BENCH_OUT="$PWD/BENCH_serve.json" \
-SES_OBS=1 \
-SES_OBS_FILE="$PWD/target/serve_bench.jsonl" \
-cargo run -q --release -p ses-serve --bin serve-bench
-cargo run -q -p ses-obs --bin obs-validate -- "$PWD/target/serve_bench.jsonl" \
-  --require bench_row
-
 echo "== bench smoke (quick mode, regression gate)"
 # Absolute paths: cargo runs the bench binary from the package root.
 SES_BENCH_QUICK=1 \

@@ -1,7 +1,7 @@
-//! Instance-level explanations produced by SES (Section 4.2): the feature
-//! explanation `E_feat = M_f ⊙ X` and the substructure explanation
-//! `E_sub = M̂_s ⊙ A^{(k)}`, plus the neighbour-ranking view used by the
-//! paper's case studies (Fig. 8).
+//! Instance-level explanations produced by SES (Section 4.2): the masks
+//! behind the feature explanation `E_feat = M_f ⊙ X` and the substructure
+//! explanation `E_sub = M̂_s ⊙ A^{(k)}`, plus the neighbour-ranking view
+//! used by the paper's case studies (Fig. 8).
 
 use std::sync::Arc;
 
@@ -20,11 +20,6 @@ pub struct Explanations {
 }
 
 impl Explanations {
-    /// `E_feat = M_f ⊙ X`: importance-weighted node features.
-    pub fn feature_explanation(&self, features: &Matrix) -> Matrix {
-        self.feature_mask.hadamard(features)
-    }
-
     /// The weight the structure mask assigns to the pair `(center, neighbor)`
     /// (zero when outside the k-hop neighbourhood).
     pub fn edge_weight(&self, center: usize, neighbor: usize) -> f32 {
@@ -56,48 +51,6 @@ impl Explanations {
         dims.truncate(k);
         dims
     }
-
-    /// Per-edge explanation scores for the subgraph edges of `center`'s
-    /// k-hop neighbourhood, as `(u, v, weight)` triples — what Fig. 6 plots.
-    pub fn subgraph_explanation(&self, center: usize) -> Vec<(usize, usize, f32)> {
-        self.khop
-            .row_range(center)
-            .map(|p| (center, self.khop.indices()[p], self.structure_weights[p]))
-            .collect()
-    }
-
-    /// Scores every *stored* edge of an evaluation structure by averaging the
-    /// mask weight of both orientations — used for explanation-AUC scoring
-    /// against ground-truth motif edges (Table 4).
-    pub fn score_edges(&self, edges: &[(usize, usize)]) -> Vec<f32> {
-        edges
-            .iter()
-            .map(|&(u, v)| 0.5 * (self.edge_weight(u, v) + self.edge_weight(v, u)))
-            .collect()
-    }
-
-    /// Serialises the structure explanation as CSV (`center,neighbor,weight`
-    /// per k-hop entry) — the exchange format the bench harness and any
-    /// downstream tooling consume.
-    pub fn structure_to_csv(&self) -> String {
-        let mut out = String::from("center,neighbor,weight\n");
-        for (r, c, p) in self.khop.iter_entries() {
-            out.push_str(&format!("{r},{c},{}\n", self.structure_weights[p]));
-        }
-        out
-    }
-
-    /// Serialises the feature explanation of one node as CSV
-    /// (`feature,weight`), restricted to its non-zero input features.
-    pub fn features_to_csv(&self, node: usize, features: &Matrix) -> String {
-        let mut out = String::from("feature,weight\n");
-        for j in 0..features.cols() {
-            if features[(node, j)].abs().to_bits() != 0 {
-                out.push_str(&format!("{j},{}\n", self.feature_mask[(node, j)]));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -115,16 +68,6 @@ mod tests {
             khop,
             structure_weights: vec![0.7, 0.3, 0.6, 0.4],
         }
-    }
-
-    #[test]
-    fn feature_explanation_is_hadamard() {
-        let e = fixture();
-        let x = Matrix::from_vec(3, 2, vec![1.0, 2.0, 0.0, 4.0, 5.0, 0.0]);
-        let ef = e.feature_explanation(&x);
-        assert!((ef[(0, 0)] - 0.9).abs() < 1e-6);
-        assert!((ef[(0, 1)] - 0.2).abs() < 1e-6);
-        assert_eq!(ef[(1, 0)], 0.0);
     }
 
     #[test]
@@ -151,26 +94,5 @@ mod tests {
         let top = e.top_features(0, &x, 2);
         assert_eq!(top.len(), 1, "node 0 has one nonzero feature");
         assert_eq!(top[0].0, 0);
-    }
-
-    #[test]
-    fn score_edges_symmetric_average() {
-        let e = fixture();
-        let scores = e.score_edges(&[(0, 1), (1, 2)]);
-        assert!((scores[0] - 0.5 * (0.7 + 0.6)).abs() < 1e-6);
-        assert_eq!(scores[1], 0.0);
-    }
-
-    #[test]
-    fn csv_serialisation() {
-        let e = fixture();
-        let s = e.structure_to_csv();
-        assert!(s.starts_with("center,neighbor,weight\n"));
-        assert_eq!(s.lines().count(), 1 + e.khop.nnz());
-        assert!(s.contains("0,1,0.7"));
-        let x = Matrix::from_vec(3, 2, vec![1.0, 0.0, 1.0, 1.0, 0.0, 1.0]);
-        let f = e.features_to_csv(0, &x);
-        assert_eq!(f.lines().count(), 2, "one nonzero feature for node 0");
-        assert!(f.contains("0,0.9"));
     }
 }

@@ -44,19 +44,15 @@ impl EdgeExplainer for AttExplainer {
     fn explain_node(&mut self, node: usize) -> Vec<(usize, usize, f32)> {
         let s = self.adj.structure();
         let sub = ses_graph::Subgraph::ego(&self.graph, node, 2);
-        let mut out = Vec::new();
-        for lu in 0..sub.len() {
-            for &lv in sub.graph.neighbors(lu) {
-                if lu >= lv {
-                    continue;
-                }
+        sub.graph
+            .edges()
+            .map(|(lu, lv)| {
                 let (gu, gv) = sub.to_global_edge(lu, lv);
                 let w1 = s.find(gu, gv).map_or(0.0, |p| self.attention[p]);
                 let w2 = s.find(gv, gu).map_or(0.0, |p| self.attention[p]);
-                out.push((gu, gv, 0.5 * (w1 + w2)));
-            }
-        }
-        out
+                (gu, gv, 0.5 * (w1 + w2))
+            })
+            .collect()
     }
 
     fn name(&self) -> &'static str {

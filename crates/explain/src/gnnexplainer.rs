@@ -74,14 +74,7 @@ impl<'a> GnnExplainer<'a> {
         let f = bb.graph.n_features();
 
         // undirected edge list of the subgraph
-        let mut und_edges: Vec<(usize, usize)> = Vec::new();
-        for u in 0..n_sub {
-            for &v in sub.graph.neighbors(u) {
-                if u < v {
-                    und_edges.push((u, v));
-                }
-            }
-        }
+        let und_edges: Vec<(usize, usize)> = sub.graph.edges().collect();
         let m = und_edges.len();
         if m == 0 {
             return NodeExplanation {

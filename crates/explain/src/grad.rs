@@ -67,14 +67,6 @@ impl<'a> GradExplainer<'a> {
         self.edge_saliency = Some(eg.as_slice().to_vec());
         self.feature_saliency = Some(tape.grad_unwrap(x).map(f32::abs));
     }
-
-    /// Full per-entry edge saliency aligned with the backbone's adjacency
-    /// view.
-    pub fn edge_scores(&mut self) -> &[f32] {
-        self.compute();
-        // lint:allow(no-unwrap): compute() populates the cache on the line above
-        self.edge_saliency.as_ref().expect("computed above")
-    }
 }
 
 impl EdgeExplainer for GradExplainer<'_> {
@@ -85,19 +77,15 @@ impl EdgeExplainer for GradExplainer<'_> {
         let s = self.backbone.adj.structure();
         // all edges incident to the node's 2-hop neighbourhood
         let sub = ses_graph::Subgraph::ego(&self.backbone.graph, node, 2);
-        let mut out = Vec::new();
-        for lu in 0..sub.len() {
-            for &lv in sub.graph.neighbors(lu) {
-                if lu >= lv {
-                    continue;
-                }
+        sub.graph
+            .edges()
+            .map(|(lu, lv)| {
                 let (gu, gv) = sub.to_global_edge(lu, lv);
                 let w1 = s.find(gu, gv).map_or(0.0, |p| sal[p]);
                 let w2 = s.find(gv, gu).map_or(0.0, |p| sal[p]);
-                out.push((gu, gv, w1.max(w2)));
-            }
-        }
-        out
+                (gu, gv, w1.max(w2))
+            })
+            .collect()
     }
 
     fn name(&self) -> &'static str {
@@ -114,79 +102,6 @@ impl FeatureExplainer for GradExplainer<'_> {
 
     fn name(&self) -> &'static str {
         "GRAD"
-    }
-}
-
-/// An *owned* gradient-saliency artifact: the per-edge scores of a
-/// [`GradExplainer`] detached from the backbone that produced them.
-///
-/// [`GradExplainer`] borrows its `Backbone` for a lifetime, which makes it
-/// unusable as a long-lived fallback inside a serving runtime. A
-/// `SaliencyTable` is the frozen equivalent — compute once at startup (or
-/// load scores from elsewhere), then answer `explain_node` forever with no
-/// tape, no backbone, and no mutation. This is ladder step 3 of the
-/// ses-serve graceful-degradation ladder: cheaper and cruder than a full
-/// SES explanation, but still edge-ranked and deterministic.
-pub struct SaliencyTable {
-    structure: Arc<ses_tensor::CsrStructure>,
-    edge_saliency: Vec<f32>,
-}
-
-impl SaliencyTable {
-    /// Freezes the saliency of a trained backbone (runs the one backward
-    /// pass immediately).
-    pub fn from_backbone(backbone: &Backbone) -> Self {
-        let mut gexp = GradExplainer::new(backbone);
-        let edge_saliency = gexp.edge_scores().to_vec();
-        Self {
-            structure: Arc::clone(backbone.adj.structure()),
-            edge_saliency,
-        }
-    }
-
-    /// Builds a table from precomputed per-entry scores aligned with
-    /// `structure` (one score per stored adjacency entry).
-    ///
-    /// # Panics
-    /// Panics when the score vector's length does not match the structure's
-    /// entry count — a misaligned table would silently rank wrong edges.
-    pub fn from_scores(structure: Arc<ses_tensor::CsrStructure>, edge_saliency: Vec<f32>) -> Self {
-        assert_eq!(
-            edge_saliency.len(),
-            structure.nnz(),
-            "one saliency score per adjacency entry"
-        );
-        Self {
-            structure,
-            edge_saliency,
-        }
-    }
-
-    /// Edge saliencies for every edge in `node`'s 2-hop neighbourhood of
-    /// `graph`, as `(global_u, global_v, weight)` with `u < v`. Same walk
-    /// as [`GradExplainer::explain_node`], but read-only over frozen
-    /// scores.
-    pub fn explain_node(&self, graph: &ses_graph::Graph, node: usize) -> Vec<(usize, usize, f32)> {
-        let sub = ses_graph::Subgraph::ego(graph, node, 2);
-        let mut out = Vec::new();
-        for lu in 0..sub.len() {
-            for &lv in sub.graph.neighbors(lu) {
-                if lu >= lv {
-                    continue;
-                }
-                let (gu, gv) = sub.to_global_edge(lu, lv);
-                let w1 = self
-                    .structure
-                    .find(gu, gv)
-                    .map_or(0.0, |p| self.edge_saliency[p]);
-                let w2 = self
-                    .structure
-                    .find(gv, gu)
-                    .map_or(0.0, |p| self.edge_saliency[p]);
-                out.push((gu, gv, w1.max(w2)));
-            }
-        }
-        out
     }
 }
 
@@ -215,42 +130,5 @@ mod tests {
         assert_eq!(fi.shape(), d.graph.features().shape());
         assert!(fi.min() >= 0.0);
         assert!(fi.max() > 0.0, "some feature must matter");
-    }
-
-    #[test]
-    fn saliency_table_matches_live_explainer() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let d = realworld::cora_like(Profile::Fast, &mut rng);
-        let splits = Splits::classification(d.graph.n_nodes(), &mut rng);
-        let cfg = TrainConfig {
-            epochs: 10,
-            patience: 0,
-            ..Default::default()
-        };
-        let bb = Backbone::train_gcn(&d.graph, &splits, &cfg);
-        let table = SaliencyTable::from_backbone(&bb);
-        let mut live = GradExplainer::new(&bb);
-        for node in [0usize, 3, 7] {
-            assert_eq!(
-                table.explain_node(&d.graph, node),
-                live.explain_node(node),
-                "frozen table must reproduce the live explainer at node {node}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one saliency score per adjacency entry")]
-    fn from_scores_rejects_misaligned_lengths() {
-        let structure = ses_graph::khop_structure(
-            &ses_graph::Graph::new(
-                3,
-                &[(0, 1), (1, 2)],
-                ses_tensor::Matrix::zeros(3, 2),
-                vec![0, 1, 0],
-            ),
-            1,
-        );
-        let _ = SaliencyTable::from_scores(structure, vec![0.5; 1]);
     }
 }

@@ -15,9 +15,10 @@
 //! The [`traits`] module defines the shared [`EdgeExplainer`] /
 //! [`FeatureExplainer`] interfaces plus [`explanation_auc`], the Table-4
 //! harness; [`ses_adapter::SesExplainer`] plugs SES itself into the same
-//! interfaces. The [`stage`] module instruments each explained node as a
-//! traced request with per-stage (extract/encode/mask/rank) latency
-//! histograms and SLO budget checks.
+//! interfaces, and [`explain_subgraph`] is the SES explain pipeline it
+//! shares with the serving runtime. The [`stage`] module instruments each
+//! explained node as a traced request with per-stage
+//! (extract/encode/mask/rank) latency histograms and SLO budget checks.
 
 pub mod att;
 pub mod backbone;
@@ -35,13 +36,13 @@ pub mod traits;
 pub use att::AttExplainer;
 pub use backbone::Backbone;
 pub use gnnexplainer::{GnnExplainer, GnnExplainerConfig};
-pub use grad::{GradExplainer, SaliencyTable};
+pub use grad::GradExplainer;
 pub use graphlime::{GraphLime, GraphLimeConfig};
 pub use pgexplainer::{PgExplainer, PgExplainerConfig};
 pub use pgmexplainer::{PgmExplainer, PgmExplainerConfig};
 pub use protgnn::{ProtGnn, ProtGnnConfig};
 pub use segnn::{Segnn, SegnnConfig};
-pub use ses_adapter::SesExplainer;
+pub use ses_adapter::{explain_subgraph, SesExplainer};
 pub use stage::{
     emit_stage_latency_record, explain_node_traced, latency_probe, stage_latency_report,
     StageQuantiles,

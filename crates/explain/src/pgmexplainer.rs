@@ -117,19 +117,15 @@ impl EdgeExplainer for PgmExplainer<'_> {
         let scores = self.node_scores(node);
         let lookup: std::collections::HashMap<usize, f64> = scores.into_iter().collect();
         let sub = Subgraph::ego(&self.backbone.graph, node, self.config.k);
-        let mut out = Vec::new();
-        for lu in 0..sub.len() {
-            for &lv in sub.graph.neighbors(lu) {
-                if lu >= lv {
-                    continue;
-                }
+        sub.graph
+            .edges()
+            .map(|(lu, lv)| {
                 let (gu, gv) = sub.to_global_edge(lu, lv);
                 let su = lookup.get(&gu).copied().unwrap_or(0.0);
                 let sv = lookup.get(&gv).copied().unwrap_or(0.0);
-                out.push((gu, gv, (0.5 * (su + sv)) as f32));
-            }
-        }
-        out
+                (gu, gv, (0.5 * (su + sv)) as f32)
+            })
+            .collect()
     }
 
     fn name(&self) -> &'static str {

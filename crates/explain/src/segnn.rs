@@ -152,17 +152,13 @@ impl EdgeExplainer for Segnn<'_> {
     /// Edge scores from endpoint similarity: SEGNN's structural rationale.
     fn explain_node(&mut self, node: usize) -> Vec<(usize, usize, f32)> {
         let sub = ses_graph::Subgraph::ego(&self.backbone.graph, node, 2);
-        let mut out = Vec::new();
-        for lu in 0..sub.len() {
-            for &lv in sub.graph.neighbors(lu) {
-                if lu >= lv {
-                    continue;
-                }
+        sub.graph
+            .edges()
+            .map(|(lu, lv)| {
                 let (gu, gv) = sub.to_global_edge(lu, lv);
-                out.push((gu, gv, self.similarity(gu, gv) as f32));
-            }
-        }
-        out
+                (gu, gv, self.similarity(gu, gv) as f32)
+            })
+            .collect()
     }
 
     fn name(&self) -> &'static str {

@@ -55,16 +55,11 @@ pub fn explanation_auc(
         }
         // candidate edges: edges of the k-hop ego network around v
         let sub = ses_graph::Subgraph::ego(graph, v, k);
-        for lu in 0..sub.len() {
-            for &lv in sub.graph.neighbors(lu) {
-                if lu >= lv {
-                    continue;
-                }
-                let (gu, gv) = sub.to_global_edge(lu, lv);
-                let key = if gu < gv { (gu, gv) } else { (gv, gu) };
-                scores.push(lookup.get(&key).copied().unwrap_or(0.0));
-                labels.push(data.ground_truth.is_motif_edge(gu, gv));
-            }
+        for (lu, lv) in sub.graph.edges() {
+            let (gu, gv) = sub.to_global_edge(lu, lv);
+            let key = if gu < gv { (gu, gv) } else { (gv, gu) };
+            scores.push(lookup.get(&key).copied().unwrap_or(0.0));
+            labels.push(data.ground_truth.is_motif_edge(gu, gv));
         }
     }
     let auc = roc_auc(&scores, &labels).unwrap_or(0.5);
@@ -100,19 +95,14 @@ mod tests {
         fn explain_node(&mut self, node: usize) -> Vec<(usize, usize, f32)> {
             let g = &self.data.dataset.graph;
             let sub = ses_graph::Subgraph::ego(g, node, 2);
-            let mut out = Vec::new();
-            for lu in 0..sub.len() {
-                for &lv in sub.graph.neighbors(lu) {
-                    if lu >= lv {
-                        continue;
-                    }
+            sub.graph
+                .edges()
+                .map(|(lu, lv)| {
                     let (gu, gv) = sub.to_global_edge(lu, lv);
                     let is_motif = self.data.ground_truth.is_motif_edge(gu, gv);
-                    let w = if is_motif != self.invert { 1.0 } else { 0.0 };
-                    out.push((gu, gv, w));
-                }
-            }
-            out
+                    (gu, gv, if is_motif != self.invert { 1.0 } else { 0.0 })
+                })
+                .collect()
         }
 
         fn name(&self) -> &'static str {

@@ -107,6 +107,17 @@ impl Graph {
         self.adjacency.row_indices(v)
     }
 
+    /// Each undirected edge once, as `(u, v)` with `u < v`, in row-major
+    /// order (by `u`, then `v`); self-loops are skipped.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.n_nodes()).flat_map(move |u| {
+            self.neighbors(u)
+                .iter()
+                .filter(move |&&v| u < v)
+                .map(move |&v| (u, v))
+        })
+    }
+
     /// Degree of `v`.
     pub fn degree(&self, v: usize) -> usize {
         self.adjacency.row_nnz(v)
@@ -180,6 +191,17 @@ mod tests {
         let g = Graph::new(2, &[(0, 0), (0, 1)], Matrix::zeros(2, 1), vec![0, 1]);
         assert_eq!(g.n_edges(), 2);
         assert!(g.has_edge(0, 0));
+    }
+
+    #[test]
+    fn edges_once_row_major_without_self_loops() {
+        let g = Graph::new(
+            4,
+            &[(3, 1), (0, 0), (2, 0), (1, 0), (2, 2)],
+            Matrix::zeros(4, 1),
+            vec![0; 4],
+        );
+        assert_eq!(g.edges().collect::<Vec<_>>(), [(0, 1), (0, 2), (1, 3)]);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * `bench_row` records carry a string `sheet` and only finite numbers;
 //! * at least one record of the required event kind exists (`epoch` by
 //!   default — an instrumented run that logged nothing is itself a
-//!   failure). The serve-bench CI stage passes `--require bench_row`.
+//!   failure).
 //!
 //! `--prom` checks text-exposition shape: every line is a comment or a
 //! `name[{labels}] value` sample, names carry the `ses_` prefix, values are

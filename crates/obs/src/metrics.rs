@@ -208,9 +208,7 @@ pub static SERVE_CACHE_POISONED: Counter = Counter::new("serve.cache.poisoned");
 /// Requests answered from the explanation cache while degraded (ladder
 /// step 2; a healthy-path cache hit counts only `serve.cache.hit`).
 pub static SERVE_DEGRADED_CACHE: Counter = Counter::new("serve.degraded.cache");
-/// Requests answered by the gradient-saliency fallback (ladder step 3).
-pub static SERVE_DEGRADED_SALIENCY: Counter = Counter::new("serve.degraded.saliency");
-/// Requests answered predict-only, no explanation (ladder step 4).
+/// Requests answered predict-only, no explanation (ladder step 3).
 pub static SERVE_DEGRADED_PREDICT_ONLY: Counter = Counter::new("serve.degraded.predict_only");
 
 /// Request-shaped traces opened via `ses_obs::trace::request`.
@@ -252,7 +250,7 @@ pub static TRAIN_EPOCH_NS: LogHistogram = LogHistogram::new("trainer.epoch_ns");
 /// End-to-end serving-request latency (admission to response, all tiers).
 pub static SERVE_REQUEST_NS: LogHistogram = LogHistogram::new("serve.request_ns");
 
-static ALL_COUNTERS: [&Counter; 54] = [
+static ALL_COUNTERS: [&Counter; 53] = [
     &TAPE_NODES,
     &TAPE_BACKWARDS,
     &SPMM_CALLS,
@@ -305,7 +303,6 @@ static ALL_COUNTERS: [&Counter; 54] = [
     &SERVE_CACHE_EVICT,
     &SERVE_CACHE_POISONED,
     &SERVE_DEGRADED_CACHE,
-    &SERVE_DEGRADED_SALIENCY,
     &SERVE_DEGRADED_PREDICT_ONLY,
 ];
 static ALL_GAUGES: [&Gauge; 2] = [&TAPE_PEAK_NODES, &SCRATCH_HIGHWATER];

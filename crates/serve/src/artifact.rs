@@ -2,20 +2,17 @@
 //!
 //! Serving is forward-only: no tape, no optimiser, no mutation. A
 //! [`ModelArtifact`] bundles everything the request path reads — the graph,
-//! the per-node predictions, the global SES masks ([`Explanations`]), an
-//! optional owned gradient-saliency table (degradation-ladder step 3), and
+//! the per-node predictions, the global SES masks ([`Explanations`]), and
 //! optionally the checkpoint it was restored from (resolved through the
 //! corruption-hardened [`ses_resilience::latest_checkpoint`], so a torn
 //! newest rotation file falls back to the previous copy instead of failing
 //! startup).
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ses_core::Explanations;
-use ses_explain::SaliencyTable;
 use ses_graph::Graph;
 use ses_resilience::{latest_checkpoint, CheckpointError, TrainCheckpoint};
 use ses_tensor::Matrix;
@@ -30,8 +27,6 @@ pub struct ModelArtifact {
     pub explanations: Explanations,
     /// Neighbourhood radius the structure mask is defined over.
     pub k: usize,
-    /// Owned gradient-saliency fallback (ladder step 3), when available.
-    pub saliency: Option<SaliencyTable>,
     /// `(path, epoch)` of the checkpoint the artifact restored, if any.
     pub checkpoint: Option<(PathBuf, u64)>,
 }
@@ -59,17 +54,15 @@ impl ModelArtifact {
             predictions,
             explanations,
             k,
-            saliency: None,
             checkpoint: None,
         }
     }
 
     /// A deterministic synthetic artifact over `graph`: structure-mask
-    /// weights and feature mask drawn from `seed`, predictions equal to the
-    /// graph labels, and a saliency table over the same k-hop structure.
-    /// This is the fixture drills, benches, and tests serve — real enough
-    /// to exercise every stage (the k-hop structure is the real one), with
-    /// no training in the loop.
+    /// weights and feature mask drawn from `seed` and predictions equal to
+    /// the graph labels. This is the fixture the drill and tests serve —
+    /// real enough to exercise every stage (the k-hop structure is the real
+    /// one), with no training in the loop.
     pub fn synthetic(graph: Graph, k: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let khop = ses_graph::khop_structure(&graph, k);
@@ -83,17 +76,13 @@ impl ModelArtifact {
             f,
             (0..n * f).map(|_| 0.05 + 0.9 * rng.gen::<f32>()).collect(),
         );
-        let saliency_scores: Vec<f32> = (0..khop.nnz()).map(|_| rng.gen::<f32>()).collect();
-        let saliency = SaliencyTable::from_scores(Arc::clone(&khop), saliency_scores);
         let predictions = graph.labels().to_vec();
         let explanations = Explanations {
             feature_mask,
             khop,
             structure_weights,
         };
-        let mut artifact = Self::from_parts(graph, predictions, explanations, k);
-        artifact.saliency = Some(saliency);
-        artifact
+        Self::from_parts(graph, predictions, explanations, k)
     }
 
     /// Restores checkpoint provenance: resolves the newest *valid*
@@ -140,7 +129,6 @@ mod tests {
             b.explanations.structure_weights
         );
         assert_eq!(a.predictions, b.predictions);
-        assert!(a.saliency.is_some());
         assert_eq!(a.prediction(0), Some(0));
         assert_eq!(a.prediction(5), Some(1));
         assert_eq!(a.prediction(6), None);

@@ -186,10 +186,6 @@ fn main() {
             ses_obs::metrics::SERVE_DEGRADED_CACHE.get(),
         )
         .uint(
-            "degraded_saliency",
-            ses_obs::metrics::SERVE_DEGRADED_SALIENCY.get(),
-        )
-        .uint(
             "degraded_predict_only",
             ses_obs::metrics::SERVE_DEGRADED_PREDICT_ONLY.get(),
         )

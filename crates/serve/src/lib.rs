@@ -19,9 +19,10 @@
 //!   jittered exponential backoff ([`Backoff`]), and fed to the
 //!   [`CircuitBreaker`] — it never takes the process down.
 //! - **Graceful degradation** (the ladder, [`Tier`]): full SES explanation
-//!   → cached explanation ([`ExplanationCache`], content-hash-keyed and
-//!   checksummed) → gradient-saliency fallback → prediction-only. Every
-//!   step down is counted (`serve.degraded.*`).
+//!   (the same [`ses_explain::explain_subgraph`] pipeline the offline
+//!   explainer runs) → cached explanation ([`ExplanationCache`],
+//!   content-hash-keyed and checksummed) → prediction-only. Every step down
+//!   is counted (`serve.degraded.*`).
 //!
 //! The `SES_FAULT` grammar drills each net: `slow-stage@<stage>` stalls one
 //! pipeline stage past the deadline, `panic@request-<n>` panics inside one

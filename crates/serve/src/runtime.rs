@@ -11,14 +11,15 @@
 //!                              breaker closed?──no──▶ degradation ladder
 //!                                         │yes
 //!                                         ▼
-//!                    full pipeline (extract→encode→mask→rank),
+//!                    full pipeline (extract → cache probe →
+//!                    ses_explain::explain_subgraph: encode→mask→rank),
 //!                    deadline-checked at every stage boundary,
 //!                    run inside the resilience panic boundary
 //!                      │ panic: isolate → breaker → jittered retry
 //!                      │ deadline breach: answer predict-only
 //!                      ▼ retries exhausted
 //!                             degradation ladder:
-//!               cache hit → saliency fallback → predict-only
+//!                         cache hit → predict-only
 //! ```
 //!
 //! Every net has a counter (`serve.*`), every request is a trace, and the
@@ -33,10 +34,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use ses_explain::explain_subgraph;
 use ses_explain::stage::stage;
 use ses_graph::Subgraph;
 use ses_obs::metrics;
-use ses_resilience::fault::{FaultSpec, ServeStage};
+use ses_resilience::fault::FaultSpec;
 use ses_resilience::run_request_isolated;
 
 use crate::artifact::ModelArtifact;
@@ -104,7 +106,10 @@ pub enum Tier {
     Full,
     /// Served from the explanation cache.
     Cache,
-    /// Gradient-saliency fallback table.
+    /// Never constructed. The gradient-saliency rung it named was removed
+    /// from the ladder: it re-extracted the ego network and measured slower
+    /// than the full path it stood in for. The variant stays only because
+    /// the end-to-end benchmark (`sesbench`) still matches on it.
     Saliency,
     /// Prediction only, no explanation.
     PredictOnly,
@@ -314,9 +319,9 @@ impl Server {
     }
 
     /// The instrumented full SES pipeline: extract → (cache probe) →
-    /// encode → mask → rank, deadline-checked after every stage. Returns
-    /// the tier ([`Tier::Full`] or a healthy [`Tier::Cache`] hit) with the
-    /// ranked edges.
+    /// [`explain_subgraph`] (encode → mask → rank), deadline-checked after
+    /// every stage. Returns the tier ([`Tier::Full`] or a healthy
+    /// [`Tier::Cache`] hit) with the ranked edges.
     fn full_pipeline(
         &self,
         req: &Request,
@@ -327,16 +332,13 @@ impl Server {
             // lint:allow(no-unwrap): injected fault — the drill asserts this panic
             panic!("injected serve fault: panic@request-{}", req.id);
         }
-        let graph = &self.artifact.graph;
-        let k = self.artifact.k;
-
         let sub = stage("extract", || {
-            self.maybe_stall(ServeStage::Extract, deadline);
-            Subgraph::ego(graph, req.node, k)
+            self.maybe_stall("extract", deadline);
+            Subgraph::ego(&self.artifact.graph, req.node, self.artifact.k)
         });
         deadline.check("extract")?;
 
-        let (key, local_edges) = subgraph_key(&sub, req.node, k);
+        let key = subgraph_key(&sub, req.node, self.artifact.k);
         match self.cache.get(key) {
             Lookup::Hit(edges) => return Ok((Tier::Cache, edges)),
             Lookup::Poisoned if !self.cfg.recovery => return Err(ServeError::CachePoisoned),
@@ -345,47 +347,17 @@ impl Server {
             Lookup::Poisoned | Lookup::Miss => {}
         }
 
-        let relevance = stage("encode", || {
-            self.maybe_stall(ServeStage::Encode, deadline);
-            let expl = &self.artifact.explanations;
-            sub.global_of
-                .iter()
-                .enumerate()
-                .map(|(local, &global)| {
-                    if local == sub.center_local {
-                        1.0
-                    } else {
-                        expl.edge_weight(req.node, global)
-                    }
-                })
-                .collect::<Vec<f32>>()
-        });
-        deadline.check("encode")?;
-
-        let mut edges = stage("mask", || {
-            self.maybe_stall(ServeStage::Mask, deadline);
-            local_edges
-                .iter()
-                .map(|&(lu, lv)| {
-                    let (gu, gv) = sub.to_global_edge(lu, lv);
-                    (gu, gv, relevance[lu] * relevance[lv])
-                })
-                .collect::<Explanation>()
-        });
-        deadline.check("mask")?;
-
-        stage("rank", || {
-            self.maybe_stall(ServeStage::Rank, deadline);
-            edges.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-        });
-        deadline.check("rank")?;
+        let edges = explain_subgraph(&self.artifact.explanations, &sub, req.node, |name| {
+            self.maybe_stall(name, deadline);
+            deadline.check(name)
+        })?;
 
         self.cache.put(key, edges.clone());
         Ok((Tier::Full, edges))
     }
 
     /// The degradation ladder (breaker open, or retries exhausted): cached
-    /// explanation → saliency fallback → predict-only, each rung counted.
+    /// explanation → predict-only, each rung counted.
     fn degraded_ladder(
         &self,
         req: &Request,
@@ -396,41 +368,23 @@ impl Server {
             // No budget left for any explanation work.
             return Ok(self.predict_only(req, prediction, true));
         }
-        let graph = &self.artifact.graph;
         let k = self.artifact.k;
-        let sub = Subgraph::ego(graph, req.node, k);
-        let (key, _) = subgraph_key(&sub, req.node, k);
-        match self.cache.get(key) {
+        let sub = Subgraph::ego(&self.artifact.graph, req.node, k);
+        match self.cache.get(subgraph_key(&sub, req.node, k)) {
             Lookup::Hit(edges) => {
                 metrics::SERVE_DEGRADED_CACHE.incr();
-                return Ok(Response {
+                Ok(Response {
                     id: req.id,
                     node: req.node,
                     prediction,
                     tier: Tier::Cache,
                     degraded: true,
                     edges,
-                });
+                })
             }
-            Lookup::Poisoned if !self.cfg.recovery => return Err(ServeError::CachePoisoned),
-            Lookup::Poisoned | Lookup::Miss => {}
+            Lookup::Poisoned if !self.cfg.recovery => Err(ServeError::CachePoisoned),
+            Lookup::Poisoned | Lookup::Miss => Ok(self.predict_only(req, prediction, true)),
         }
-        if let Some(table) = &self.artifact.saliency {
-            if !deadline.expired() {
-                let mut edges = table.explain_node(graph, req.node);
-                edges.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-                metrics::SERVE_DEGRADED_SALIENCY.incr();
-                return Ok(Response {
-                    id: req.id,
-                    node: req.node,
-                    prediction,
-                    tier: Tier::Saliency,
-                    degraded: true,
-                    edges,
-                });
-            }
-        }
-        Ok(self.predict_only(req, prediction, true))
     }
 
     fn predict_only(&self, req: &Request, prediction: usize, degraded: bool) -> Response {
@@ -454,8 +408,9 @@ impl Server {
     /// Injected `slow-stage@<stage>` fault: stall past the remaining
     /// deadline budget so the next boundary check breaches. Routed through
     /// the sanctioned [`backoff::sleep_for`] site.
-    fn maybe_stall(&self, here: ServeStage, deadline: &Deadline) {
-        if self.cfg.fault.and_then(|f| f.slow_stage()) == Some(here) {
+    fn maybe_stall(&self, here: &str, deadline: &Deadline) {
+        let stage = self.cfg.fault.and_then(|f| f.slow_stage());
+        if stage.is_some_and(|s| s.as_str() == here) {
             backoff::sleep_for(Duration::from_nanos(
                 deadline.remaining_ns().saturating_add(200_000),
             ));
@@ -475,24 +430,12 @@ impl Server {
     }
 }
 
-/// Content key + canonical local edge list of a computation subgraph. The
-/// local `(lu, lv)` pairs (with `lu < lv`) feed the mask stage; the key
-/// hashes the *global* node/edge content order-independently.
-fn subgraph_key(sub: &Subgraph, center: usize, k: usize) -> (u64, Vec<(usize, usize)>) {
-    let mut local_edges = Vec::new();
-    let mut global_edges = Vec::new();
-    for lu in 0..sub.len() {
-        for &lv in sub.graph.neighbors(lu) {
-            if lu < lv {
-                local_edges.push((lu, lv));
-                global_edges.push(sub.to_global_edge(lu, lv));
-            }
-        }
-    }
-    (
-        content_key(center, k, &sub.global_of, &global_edges),
-        local_edges,
-    )
+/// Content key of a computation subgraph: hashes the *global* node and
+/// edge content order-independently.
+fn subgraph_key(sub: &Subgraph, center: usize, k: usize) -> u64 {
+    let mut global_edges = Vec::with_capacity(sub.graph.adjacency().nnz() / 2);
+    global_edges.extend(sub.graph.edges().map(|(lu, lv)| sub.to_global_edge(lu, lv)));
+    content_key(center, k, &sub.global_of, &global_edges)
 }
 
 #[cfg(test)]

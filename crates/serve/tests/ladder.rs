@@ -1,8 +1,8 @@
 //! End-to-end exercise of the graceful-degradation ladder: one server, one
-//! request sequence, all four tiers observed in order — full SES explain →
-//! healthy cache hit → degraded cache hit → gradient-saliency fallback →
-//! predict-only — with the shed / degraded / deadline-breach counters
-//! moving exactly as the ladder steps down.
+//! request sequence, all three tiers observed in order — full SES explain →
+//! healthy cache hit → degraded cache hit → predict-only — with the shed /
+//! degraded / deadline-breach counters moving exactly as the ladder steps
+//! down.
 
 use ses_obs::metrics;
 use ses_resilience::FaultSpec;
@@ -19,7 +19,7 @@ fn two_triangle_server(cfg: ServeConfig) -> Server {
 }
 
 #[test]
-fn ladder_steps_down_full_cache_saliency_predict_only() {
+fn ladder_steps_down_full_cache_predict_only() {
     let _obs = ses_obs::force_enabled(true);
     // panic@request-2 with no retries and a hair-trigger breaker: request 2
     // fails its only attempt and every later request routes degraded.
@@ -32,7 +32,6 @@ fn ladder_steps_down_full_cache_saliency_predict_only() {
     });
 
     let degraded_cache_0 = metrics::SERVE_DEGRADED_CACHE.get();
-    let degraded_saliency_0 = metrics::SERVE_DEGRADED_SALIENCY.get();
     let degraded_predict_0 = metrics::SERVE_DEGRADED_PREDICT_ONLY.get();
     let breach_0 = metrics::SERVE_DEADLINE_BREACH.get();
     let hit_0 = metrics::SERVE_CACHE_HIT.get();
@@ -62,18 +61,20 @@ fn ladder_steps_down_full_cache_saliency_predict_only() {
     assert_eq!(metrics::SERVE_BREAKER_OPEN.get(), breaker_0 + 1);
     assert_eq!(metrics::SERVE_DEGRADED_CACHE.get(), degraded_cache_0 + 1);
 
-    // Rung 3 — request 3: breaker open, uncached node → saliency fallback.
-    let r3 = server.serve_one(4).expect("saliency");
-    assert_eq!(r3.tier, Tier::Saliency);
+    // Rung 3 — request 3: breaker open, uncached node → the ladder's cache
+    // misses and it answers prediction-only, within budget.
+    let r3 = server.serve_one(4).expect("predict-only on a miss");
+    assert_eq!(r3.tier, Tier::PredictOnly);
     assert!(r3.degraded);
-    assert!(!r3.edges.is_empty(), "saliency still explains");
+    assert!(r3.edges.is_empty());
+    assert_eq!(metrics::SERVE_DEADLINE_BREACH.get(), breach_0);
     assert_eq!(
-        metrics::SERVE_DEGRADED_SALIENCY.get(),
-        degraded_saliency_0 + 1
+        metrics::SERVE_DEGRADED_PREDICT_ONLY.get(),
+        degraded_predict_0 + 1
     );
 
-    // Rung 4 — request 4: breaker open AND a zero deadline → the ladder has
-    // no budget for any explanation work; prediction-only, breach counted.
+    // Request 4: breaker open AND a zero deadline → the ladder has no
+    // budget for any explanation work; prediction-only, breach counted.
     server
         .submit_with_deadline(5, 0)
         .expect("admission is budget-free");
@@ -86,7 +87,7 @@ fn ladder_steps_down_full_cache_saliency_predict_only() {
     assert!(metrics::SERVE_DEADLINE_BREACH.get() > breach_0);
     assert_eq!(
         metrics::SERVE_DEGRADED_PREDICT_ONLY.get(),
-        degraded_predict_0 + 1
+        degraded_predict_0 + 2
     );
 
     // Every degraded response still came from a live process that keeps
