@@ -27,12 +27,13 @@ done
 echo "== cargo test -q"
 cargo test -q
 
-echo "== crate tests (tensor, core, verify, lint, obs, serve, explain; release)"
+echo "== crate tests (tensor, core, verify, lint, obs, serve, explain, graph, data, metrics, gnn, resilience; release)"
 # Tier-1 above runs only the facade package; the kernel, tape-op, verifier,
-# telemetry, serving and explainer suites live in their own crates. Release:
-# the core training tests run whole fits, which take minutes under the debug
-# sanitizer.
-cargo test -q --release -p ses-tensor -p ses-core -p ses-verify -p ses-lint -p ses-obs -p ses-serve -p ses-explain
+# telemetry, serving, explainer, graph, dataset, metric, encoder and
+# checkpoint suites live in their own crates. Release: the core training
+# tests run whole fits, which take minutes under the debug sanitizer.
+cargo test -q --release -p ses-tensor -p ses-core -p ses-verify -p ses-lint -p ses-obs -p ses-serve -p ses-explain \
+  -p ses-graph -p ses-data -p ses-metrics -p ses-gnn -p ses-resilience
 
 echo "== race-check (model-checked interleavings, <60s budget)"
 # The clean suite must explore >=10k schedules and exit 0; each seeded

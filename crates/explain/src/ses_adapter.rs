@@ -4,13 +4,13 @@
 //! pipeline the adapter and the serving runtime both run.
 
 use ses_core::Explanations;
-use ses_graph::{Graph, Subgraph};
+use ses_graph::{EgoNet, Graph};
 use ses_tensor::Matrix;
 
 use crate::stage::stage;
 use crate::traits::{EdgeExplainer, FeatureExplainer};
 
-/// Scores and ranks the edges of `sub`, the ego network of `node`, by the
+/// Scores and ranks the edges of `ego`, the ego network of `node`, by the
 /// structure mask's *per-centre neighbour relevance*: `M̂_s` row `node`
 /// assigns every k-hop neighbour an importance weight (this is exactly how
 /// the paper's case studies rank neighbours), so an edge `(a, b)` inside
@@ -23,15 +23,16 @@ use crate::traits::{EdgeExplainer, FeatureExplainer};
 /// the hook stops the pipeline and is returned. Edges come out as global
 /// `(u, v, weight)` with `u < v`, ranked by weight descending under
 /// `f32::total_cmp` (a total order, so NaN weights rank too), ties by `u`
-/// then `v`.
+/// then `v`. Each `(u, v)` occurs once, so no two edges compare equal and
+/// the unstable sort's order is fully determined.
 pub fn explain_subgraph<E>(
     explanations: &Explanations,
-    sub: &Subgraph,
+    ego: &EgoNet,
     node: usize,
     mut after_stage: impl FnMut(&'static str) -> Result<(), E>,
 ) -> Result<Vec<(usize, usize, f32)>, E> {
     let relevance: Vec<f32> = stage("encode", || {
-        sub.global_of
+        ego.global_of
             .iter()
             .map(|&g| {
                 if g == node {
@@ -44,18 +45,16 @@ pub fn explain_subgraph<E>(
     });
     after_stage("encode")?;
     let mut out = stage("mask", || {
-        // Half the stored entries bounds the edge count; sizing up front
-        // spares the growth copies `collect` would make.
-        let mut out = Vec::with_capacity(sub.graph.adjacency().nnz() / 2);
-        out.extend(sub.graph.edges().map(|(lu, lv)| {
-            let (gu, gv) = sub.to_global_edge(lu, lv);
+        let mut out = Vec::with_capacity(ego.edges.len());
+        out.extend(ego.edges.iter().map(|&(lu, lv)| {
+            let (gu, gv) = (ego.global_of[lu], ego.global_of[lv]);
             (gu, gv, relevance[lu] * relevance[lv])
         }));
         out
     });
     after_stage("mask")?;
     stage("rank", || {
-        out.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+        out.sort_unstable_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
     });
     after_stage("rank")?;
     Ok(out)
@@ -86,8 +85,8 @@ impl EdgeExplainer for SesExplainer {
     /// Extracts `node`'s 2-hop ego network (the instrumented `extract`
     /// stage) and runs [`explain_subgraph`] over it.
     fn explain_node(&mut self, node: usize) -> Vec<(usize, usize, f32)> {
-        let sub = stage("extract", || Subgraph::ego(&self.graph, node, 2));
-        let Ok(out) = explain_subgraph(&self.explanations, &sub, node, |_| {
+        let ego = stage("extract", || EgoNet::extract(&self.graph, node, 2));
+        let Ok(out) = explain_subgraph(&self.explanations, &ego, node, |_| {
             Ok::<(), std::convert::Infallible>(())
         });
         out

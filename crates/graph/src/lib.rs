@@ -18,4 +18,4 @@ pub use khop::{
 };
 pub use norm::{gcn_norm, row_norm_values, sym_norm_values, with_self_loops};
 pub use sampling::NegativeSets;
-pub use subgraph::Subgraph;
+pub use subgraph::{EgoNet, Subgraph};

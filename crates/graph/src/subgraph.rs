@@ -1,16 +1,87 @@
-//! Induced subgraph extraction with index mapping — the working unit of
+//! k-hop ego-network extraction with index mapping — the working unit of
 //! per-instance explainers (GNNExplainer, PGMExplainer operate on a node's
 //! k-hop ego network, not the full graph).
+//!
+//! [`EgoNet`] is the structure alone (members and induced edges); the SES
+//! explain pipeline needs nothing more. [`Subgraph`] adds the members'
+//! features and labels as a standalone [`Graph`] for the explainers that
+//! run a model over the ego network.
 
 use ses_tensor::Matrix;
 
 use crate::graph::Graph;
-use crate::khop::bfs_distances;
 
-/// An induced subgraph plus the mapping between local and global node ids.
+/// The structure of a k-hop ego network: its members and induced edges,
+/// with no features and no CSR.
+#[derive(Debug, Clone)]
+pub struct EgoNet {
+    /// `global_of[local] = global` node id, sorted ascending.
+    pub global_of: Vec<usize>,
+    /// Induced edges as local `(lu, lv)` with `lu < lv`, in row-major order
+    /// (by `lu`, then `lv`); self-loops are skipped. This is the order
+    /// [`Graph::edges`] walks.
+    pub edges: Vec<(usize, usize)>,
+    /// Local id of the centre node.
+    pub center_local: usize,
+}
+
+impl EgoNet {
+    /// Extracts the k-hop ego network around `center`: every node within
+    /// `k` hops, and every edge between two of them.
+    pub fn extract(graph: &Graph, center: usize, k: usize) -> Self {
+        // Non-members stay `usize::MAX`. During the search an entry only
+        // marks a visit; once the members are sorted it holds the local id.
+        let mut local_of = vec![usize::MAX; graph.n_nodes()];
+        local_of[center] = 0;
+        let mut global_of = vec![center];
+        let mut frontier = 0..1;
+        for _ in 0..k {
+            for i in frontier.clone() {
+                let u = global_of[i];
+                for &v in graph.neighbors(u) {
+                    if local_of[v] == usize::MAX {
+                        local_of[v] = 0;
+                        global_of.push(v);
+                    }
+                }
+            }
+            frontier = frontier.end..global_of.len();
+            if frontier.is_empty() {
+                break;
+            }
+        }
+        global_of.sort_unstable();
+        for (l, &g) in global_of.iter().enumerate() {
+            local_of[g] = l;
+        }
+        // Every induced edge counts in both endpoints' degrees.
+        let degree_sum: usize = global_of.iter().map(|&g| graph.degree(g)).sum();
+        let mut edges = Vec::with_capacity(degree_sum / 2);
+        for (l, &g) in global_of.iter().enumerate() {
+            // Local ids rise with global ids, so the neighbours above `g`
+            // are exactly the candidates for `l < lv`.
+            let nbrs = graph.neighbors(g);
+            for &nb in &nbrs[nbrs.partition_point(|&x| x <= g)..] {
+                let lv = local_of[nb];
+                if lv != usize::MAX {
+                    edges.push((l, lv));
+                }
+            }
+        }
+        Self {
+            center_local: local_of[center],
+            global_of,
+            edges,
+        }
+    }
+}
+
+/// A k-hop ego network as a standalone graph, plus the mapping between
+/// local and global node ids.
 #[derive(Debug, Clone)]
 pub struct Subgraph {
-    /// The induced subgraph (local ids `0..len`).
+    /// The induced subgraph (local ids `0..len`) with its members' features
+    /// and labels.
     pub graph: Graph,
     /// `global_of[local] = global` node id.
     pub global_of: Vec<usize>,
@@ -19,43 +90,23 @@ pub struct Subgraph {
 }
 
 impl Subgraph {
-    /// Extracts the k-hop ego network around `center`.
+    /// Extracts the k-hop ego network around `center`: [`EgoNet::extract`]
+    /// plus a copy of each member's feature row and label.
     pub fn ego(graph: &Graph, center: usize, k: usize) -> Self {
-        let dist = bfs_distances(graph, center, k);
-        let global_of: Vec<usize> = (0..graph.n_nodes()).filter(|&v| dist[v] <= k).collect();
-        Self::induced(graph, &global_of, center)
-    }
-
-    /// Extracts the subgraph induced by `nodes` (must contain `center`).
-    pub fn induced(graph: &Graph, nodes: &[usize], center: usize) -> Self {
-        let mut local_of = vec![usize::MAX; graph.n_nodes()];
-        for (l, &g) in nodes.iter().enumerate() {
-            local_of[g] = l;
-        }
-        assert!(
-            local_of[center] != usize::MAX,
-            "induced: centre must be in node set"
-        );
-        let mut edges = Vec::new();
-        for (l, &g) in nodes.iter().enumerate() {
-            for &nb in graph.neighbors(g) {
-                let ln = local_of[nb];
-                if ln != usize::MAX && l < ln {
-                    edges.push((l, ln));
-                }
-            }
-        }
-        let mut feats = Matrix::zeros(nodes.len(), graph.n_features());
-        for (l, &g) in nodes.iter().enumerate() {
+        let EgoNet {
+            global_of,
+            edges,
+            center_local,
+        } = EgoNet::extract(graph, center, k);
+        let mut feats = Matrix::zeros(global_of.len(), graph.n_features());
+        for (l, &g) in global_of.iter().enumerate() {
             feats.row_mut(l).copy_from_slice(graph.features().row(g));
         }
-        let labels: Vec<usize> = nodes.iter().map(|&g| graph.labels()[g]).collect();
-        // preserve the global class count by building labels directly
-        let sub = Graph::new(nodes.len(), &edges, feats, labels);
+        let labels: Vec<usize> = global_of.iter().map(|&g| graph.labels()[g]).collect();
         Self {
-            graph: sub,
-            global_of: nodes.to_vec(),
-            center_local: local_of[center],
+            graph: Graph::new(global_of.len(), &edges, feats, labels),
+            global_of,
+            center_local,
         }
     }
 
@@ -98,6 +149,7 @@ mod tests {
         // features carried over
         assert_eq!(s.graph.features().row(0), g.features().row(1));
         assert_eq!(s.graph.labels(), &[1, 0, 1]);
+        assert_eq!(EgoNet::extract(&g, 2, 1).edges, [(0, 1), (1, 2)]);
     }
 
     #[test]

@@ -197,7 +197,7 @@ pub static SERVE_RETRIES: Counter = Counter::new("serve.retry");
 pub static SERVE_DEADLINE_BREACH: Counter = Counter::new("serve.deadline.breach");
 /// Circuit-breaker transitions into the open state.
 pub static SERVE_BREAKER_OPEN: Counter = Counter::new("serve.breaker.open");
-/// Explanation-cache hits (content-hash key matched a live entry).
+/// Explanation-cache hits (the node had a live entry whose checksum held).
 pub static SERVE_CACHE_HIT: Counter = Counter::new("serve.cache.hit");
 /// Explanation-cache misses.
 pub static SERVE_CACHE_MISS: Counter = Counter::new("serve.cache.miss");

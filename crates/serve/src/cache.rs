@@ -1,15 +1,14 @@
-//! Content-hash-keyed explanation cache with bounded memory and integrity
+//! Node-keyed explanation cache with bounded memory and integrity
 //! checksums.
 //!
-//! SES's global masks make explanations *stable*: two requests whose k-hop
-//! computation subgraphs have identical content get identical explanations,
-//! so the cache key is a content hash of the subgraph — the node set and
-//! edge set, hashed order-independently (the key must not depend on BFS or
-//! enumeration order, which can differ across code paths). Values carry an
-//! FNV-1a checksum over their payload bits; a hit whose checksum no longer
-//! matches (bit rot, a bug scribbling over the entry, the `cache-poison`
-//! fault drill) is detected *before* it is served and counted in
-//! `serve.cache.poisoned`.
+//! SES reads a node's explanation off its trained global structure mask,
+//! and a [`crate::Server`] owns one immutable artifact, so the explanation
+//! is a pure function of the node. The cache is therefore keyed by node id,
+//! and the runtime probes it before it extracts anything: a hit costs one
+//! lookup and one checksum. Values carry an FNV-1a checksum over their
+//! payload words; a hit whose checksum no longer matches (bit rot, a bug
+//! scribbling over the entry, the `cache-poison` fault drill) is detected
+//! *before* it is served and counted in `serve.cache.poisoned`.
 //!
 //! Capacity is bounded twice — max entries and max payload bytes — and
 //! eviction is least-recently-used until both caps hold, each eviction
@@ -31,6 +30,10 @@ pub type Explanation = Vec<(usize, usize, f32)>;
 /// per-element FNV-1a hashes) buys the order independence; hashing each
 /// element through FNV first keeps the sum from being fooled by swapped
 /// coordinates.
+///
+/// The server does not call it: its cache is keyed by node id. It stays
+/// public only because the end-to-end benchmark (`sesbench`) still times
+/// it in its request-path probe.
 pub fn content_key(center: usize, k: usize, nodes: &[usize], edges: &[(usize, usize)]) -> u64 {
     let mut node_acc: u64 = 0;
     for &n in nodes {
@@ -53,26 +56,31 @@ pub fn content_key(center: usize, k: usize, nodes: &[usize], edges: &[(usize, us
     fnv1a(&head)
 }
 
-/// FNV-1a over a byte slice (same constants as the `SESCKPT1` trailer).
+/// FNV-1a offset basis and prime (same constants as the `SESCKPT1`
+/// trailer).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over a byte slice.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
-/// Checksum of an explanation payload (weights by bit pattern, so NaN
-/// corruption is caught too).
+/// Checksum of an explanation payload: FNV-1a over each edge's three
+/// 64-bit words `u`, `v` and the weight's bit pattern (so NaN corruption is
+/// caught too). Each step `(h ^ word)·P` is a bijection in `h` because `P`
+/// is odd, so a change confined to any one word always changes the sum.
 fn payload_checksum(edges: &Explanation) -> u64 {
-    let mut bytes = Vec::with_capacity(edges.len() * 20);
-    for &(u, v, w) in edges {
-        bytes.extend_from_slice(&(u as u64).to_le_bytes());
-        bytes.extend_from_slice(&(v as u64).to_le_bytes());
-        bytes.extend_from_slice(&w.to_bits().to_le_bytes());
-    }
-    fnv1a(&bytes)
+    edges.iter().fold(FNV_OFFSET, |h, &(u, v, w)| {
+        [u as u64, v as u64, u64::from(w.to_bits())]
+            .into_iter()
+            .fold(h, |h, word| (h ^ word).wrapping_mul(FNV_PRIME))
+    })
 }
 
 /// Approximate resident bytes of one entry's payload.
@@ -90,18 +98,19 @@ struct Entry {
 /// What a cache lookup found.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Lookup {
-    /// Key present, checksum valid — the cached explanation.
+    /// Node present, checksum valid — the cached explanation.
     Hit(Explanation),
-    /// Key absent.
+    /// Node absent.
     Miss,
-    /// Key present but the payload failed its checksum; the entry has been
+    /// Node present but the payload failed its checksum; the entry has been
     /// evicted. The caller decides whether to recompute (recovery on) or
     /// fail the request (recovery off).
     Poisoned,
 }
 
-/// Bounded, checksummed, LRU explanation cache. All operations take an
-/// internal mutex; the runtime shares one cache across workers.
+/// Bounded, checksummed, LRU explanation cache keyed by node id. All
+/// operations take an internal mutex; the runtime shares one cache across
+/// workers.
 pub struct ExplanationCache {
     state: Mutex<CacheState>,
     max_entries: usize,
@@ -109,7 +118,7 @@ pub struct ExplanationCache {
 }
 
 struct CacheState {
-    map: HashMap<u64, Entry>,
+    map: HashMap<usize, Entry>,
     bytes: usize,
     tick: u64,
     poison_next: bool,
@@ -132,15 +141,15 @@ impl ExplanationCache {
         }
     }
 
-    /// Looks up `key`, validating the checksum on a hit. Exactly one of
+    /// Looks up `node`, validating the checksum on a hit. Exactly one of
     /// `serve.cache.hit` / `serve.cache.miss` moves per call; a checksum
     /// failure counts the miss *and* `serve.cache.poisoned`, and removes
     /// the entry.
-    pub fn get(&self, key: u64) -> Lookup {
+    pub fn get(&self, node: usize) -> Lookup {
         let mut st = self.lock();
         st.tick += 1;
         let tick = st.tick;
-        match st.map.get_mut(&key) {
+        match st.map.get_mut(&node) {
             None => {
                 metrics::SERVE_CACHE_MISS.incr();
                 Lookup::Miss
@@ -150,7 +159,7 @@ impl ExplanationCache {
                     metrics::SERVE_CACHE_MISS.incr();
                     metrics::SERVE_CACHE_POISONED.incr();
                     let bytes = entry.bytes;
-                    st.map.remove(&key);
+                    st.map.remove(&node);
                     st.bytes -= bytes;
                     return Lookup::Poisoned;
                 }
@@ -161,10 +170,10 @@ impl ExplanationCache {
         }
     }
 
-    /// Inserts (or replaces) the explanation for `key`, then evicts
+    /// Inserts (or replaces) the explanation for `node`, then evicts
     /// least-recently-used entries until both caps hold. Each eviction
-    /// counts `serve.cache.evict`; replacing a key in place does not.
-    pub fn put(&self, key: u64, edges: Explanation) {
+    /// counts `serve.cache.evict`; replacing an entry in place does not.
+    pub fn put(&self, node: usize, edges: Explanation) {
         let mut st = self.lock();
         st.tick += 1;
         let tick = st.tick;
@@ -177,7 +186,7 @@ impl ExplanationCache {
         }
         let bytes = entry_bytes(&edges);
         if let Some(old) = st.map.insert(
-            key,
+            node,
             Entry {
                 edges,
                 checksum,
@@ -258,6 +267,37 @@ mod tests {
         assert_eq!(c.get(9), Lookup::Poisoned);
         assert_eq!(metrics::SERVE_CACHE_POISONED.get(), before + 1);
         assert_eq!(c.get(9), Lookup::Miss, "poisoned entry was evicted");
+    }
+
+    /// Flipping any one bit of any word of any stored edge (`u`, `v`, the
+    /// weight's 32 bits) must read back as poisoned and evict the entry.
+    #[test]
+    fn any_single_bit_flip_in_a_stored_payload_is_poisoned() {
+        let _obs = ses_obs::force_enabled(true);
+        let c = ExplanationCache::new(8, 1 << 20);
+        let stored: Explanation = vec![(3, 17, 0.75), (17, 40, f32::NAN), (0, 3, -0.0)];
+        for edge in 0..stored.len() {
+            for (word, bits) in [(0, usize::BITS), (1, usize::BITS), (2, u32::BITS)] {
+                for bit in 0..bits {
+                    c.put(5, stored.clone());
+                    {
+                        let mut st = c.lock();
+                        let e = &mut st.map.get_mut(&5).expect("just stored").edges[edge];
+                        match word {
+                            0 => e.0 ^= 1 << bit,
+                            1 => e.1 ^= 1 << bit,
+                            _ => e.2 = f32::from_bits(e.2.to_bits() ^ (1 << bit)),
+                        }
+                    }
+                    assert_eq!(
+                        c.get(5),
+                        Lookup::Poisoned,
+                        "edge {edge} word {word} bit {bit}"
+                    );
+                    assert_eq!((c.len(), c.bytes()), (0, 0), "poisoned entry evicted");
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,11 +18,14 @@
 //!   request is caught at the request boundary, counted, retried with
 //!   jittered exponential backoff ([`Backoff`]), and fed to the
 //!   [`CircuitBreaker`] — it never takes the process down.
+//! - **Caching** ([`ExplanationCache`]): a frozen artifact's explanation is
+//!   a pure function of the node, so the cache is keyed by node id and
+//!   checksummed. A request runs probe → extract → encode → mask → rank;
+//!   a hit stops at the probe.
 //! - **Graceful degradation** (the ladder, [`Tier`]): full SES explanation
 //!   (the same [`ses_explain::explain_subgraph`] pipeline the offline
-//!   explainer runs) → cached explanation ([`ExplanationCache`],
-//!   content-hash-keyed and checksummed) → prediction-only. Every step down
-//!   is counted (`serve.degraded.*`).
+//!   explainer runs) → cached explanation → prediction-only. Every step
+//!   down is counted (`serve.degraded.*`).
 //!
 //! The `SES_FAULT` grammar drills each net: `slow-stage@<stage>` stalls one
 //! pipeline stage past the deadline, `panic@request-<n>` panics inside one

@@ -11,9 +11,10 @@
 //!                              breaker closed?──no──▶ degradation ladder
 //!                                         │yes
 //!                                         ▼
-//!                    full pipeline (extract → cache probe →
-//!                    ses_explain::explain_subgraph: encode→mask→rank),
-//!                    deadline-checked at every stage boundary,
+//!                    full pipeline (cache probe by node ──hit──▶ answer;
+//!                    miss: extract → ses_explain::explain_subgraph:
+//!                    encode→mask→rank), deadline-checked before the
+//!                    probe and at every stage boundary,
 //!                    run inside the resilience panic boundary
 //!                      │ panic: isolate → breaker → jittered retry
 //!                      │ deadline breach: answer predict-only
@@ -36,7 +37,7 @@ use std::time::Duration;
 
 use ses_explain::explain_subgraph;
 use ses_explain::stage::stage;
-use ses_graph::Subgraph;
+use ses_graph::EgoNet;
 use ses_obs::metrics;
 use ses_resilience::fault::FaultSpec;
 use ses_resilience::run_request_isolated;
@@ -44,7 +45,7 @@ use ses_resilience::run_request_isolated;
 use crate::artifact::ModelArtifact;
 use crate::backoff::{self, Backoff};
 use crate::breaker::{CircuitBreaker, Route};
-use crate::cache::{content_key, Explanation, ExplanationCache, Lookup};
+use crate::cache::{Explanation, ExplanationCache, Lookup};
 use crate::deadline::Deadline;
 use crate::error::ServeError;
 
@@ -318,10 +319,10 @@ impl Server {
         }
     }
 
-    /// The instrumented full SES pipeline: extract → (cache probe) →
-    /// [`explain_subgraph`] (encode → mask → rank), deadline-checked after
-    /// every stage. Returns the tier ([`Tier::Full`] or a healthy
-    /// [`Tier::Cache`] hit) with the ranked edges.
+    /// The instrumented full SES pipeline: cache probe → extract →
+    /// [`explain_subgraph`] (encode → mask → rank), deadline-checked before
+    /// the probe and after every stage. Returns the tier ([`Tier::Full`] or
+    /// a healthy [`Tier::Cache`] hit) with the ranked edges.
     fn full_pipeline(
         &self,
         req: &Request,
@@ -332,14 +333,10 @@ impl Server {
             // lint:allow(no-unwrap): injected fault — the drill asserts this panic
             panic!("injected serve fault: panic@request-{}", req.id);
         }
-        let sub = stage("extract", || {
-            self.maybe_stall("extract", deadline);
-            Subgraph::ego(&self.artifact.graph, req.node, self.artifact.k)
-        });
+        // A request admitted with its budget already spent is answered
+        // predict-only even when its node is cached.
         deadline.check("extract")?;
-
-        let key = subgraph_key(&sub, req.node, self.artifact.k);
-        match self.cache.get(key) {
+        match self.cache.get(req.node) {
             Lookup::Hit(edges) => return Ok((Tier::Cache, edges)),
             Lookup::Poisoned if !self.cfg.recovery => return Err(ServeError::CachePoisoned),
             // Poisoned with recovery on: the entry is already evicted and
@@ -347,12 +344,17 @@ impl Server {
             Lookup::Poisoned | Lookup::Miss => {}
         }
 
-        let edges = explain_subgraph(&self.artifact.explanations, &sub, req.node, |name| {
+        let ego = stage("extract", || {
+            self.maybe_stall("extract", deadline);
+            EgoNet::extract(&self.artifact.graph, req.node, self.artifact.k)
+        });
+        deadline.check("extract")?;
+        let edges = explain_subgraph(&self.artifact.explanations, &ego, req.node, |name| {
             self.maybe_stall(name, deadline);
             deadline.check(name)
         })?;
 
-        self.cache.put(key, edges.clone());
+        self.cache.put(req.node, edges.clone());
         Ok((Tier::Full, edges))
     }
 
@@ -368,9 +370,7 @@ impl Server {
             // No budget left for any explanation work.
             return Ok(self.predict_only(req, prediction, true));
         }
-        let k = self.artifact.k;
-        let sub = Subgraph::ego(&self.artifact.graph, req.node, k);
-        match self.cache.get(subgraph_key(&sub, req.node, k)) {
+        match self.cache.get(req.node) {
             Lookup::Hit(edges) => {
                 metrics::SERVE_DEGRADED_CACHE.incr();
                 Ok(Response {
@@ -430,14 +430,6 @@ impl Server {
     }
 }
 
-/// Content key of a computation subgraph: hashes the *global* node and
-/// edge content order-independently.
-fn subgraph_key(sub: &Subgraph, center: usize, k: usize) -> u64 {
-    let mut global_edges = Vec::with_capacity(sub.graph.adjacency().nnz() / 2);
-    global_edges.extend(sub.graph.edges().map(|(lu, lv)| sub.to_global_edge(lu, lv)));
-    content_key(center, k, &sub.global_of, &global_edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,6 +462,72 @@ mod tests {
         assert_eq!(r1.tier, Tier::Cache);
         assert!(!r1.degraded, "healthy cache hit is not degraded");
         assert_eq!(r1.edges, r0.edges);
+    }
+
+    /// A hit is answered from one cache lookup: no extract stage runs, so
+    /// its histogram gains no sample and the hit's trace has no extract span.
+    #[test]
+    fn cache_hit_runs_no_extraction() {
+        let _obs = ses_obs::force_enabled(true);
+        let s = small_server(ServeConfig::default());
+        assert_eq!(s.serve_one(2).expect("full").tier, Tier::Full);
+        let extracts = metrics::EXPLAIN_STAGE_EXTRACT_NS.snapshot().count();
+        ses_obs::trace::reset_events();
+        assert_eq!(s.serve_one(2).expect("hit").tier, Tier::Cache);
+        assert_eq!(
+            metrics::EXPLAIN_STAGE_EXTRACT_NS.snapshot().count(),
+            extracts
+        );
+        let events = ses_obs::trace::events_snapshot();
+        let root = events
+            .iter()
+            .find(|e| e.name == "serve.request")
+            .expect("the hit is traced");
+        assert!(!events
+            .iter()
+            .any(|e| e.trace == root.trace && e.name == "explain.stage.extract"));
+    }
+
+    /// A request admitted with no budget left is answered predict-only
+    /// (recovery on) or fails at the extract boundary (recovery off), and a
+    /// cached node is no exception: the budget is checked before the probe.
+    #[test]
+    fn zero_deadline_answers_predict_only_even_for_a_cached_node() {
+        let _obs = ses_obs::force_enabled(true);
+        for recovery in [true, false] {
+            for cached in [false, true] {
+                let s = small_server(ServeConfig {
+                    recovery,
+                    ..ServeConfig::default()
+                });
+                if cached {
+                    assert_eq!(s.serve_one(1).expect("full").tier, Tier::Full);
+                }
+                let breach_before = metrics::SERVE_DEADLINE_BREACH.get();
+                let hits_before = metrics::SERVE_CACHE_HIT.get();
+                s.submit_with_deadline(1, 0)
+                    .expect("admission is budget-free");
+                let (_, result) = s.run_next().expect("queued");
+                let case = format!("recovery {recovery}, cached {cached}");
+                if recovery {
+                    let r = result.expect("recovery answers predict-only");
+                    assert_eq!(r.tier, Tier::PredictOnly, "{case}");
+                    assert!(r.degraded && r.edges.is_empty(), "{case}");
+                } else {
+                    assert_eq!(
+                        result.expect_err("hard breach"),
+                        ServeError::DeadlineExceeded { stage: "extract" },
+                        "{case}"
+                    );
+                }
+                assert_eq!(
+                    metrics::SERVE_DEADLINE_BREACH.get(),
+                    breach_before + 1,
+                    "{case}"
+                );
+                assert_eq!(metrics::SERVE_CACHE_HIT.get(), hits_before, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -31,10 +31,10 @@ fn decode_edge(x: u64) -> (usize, usize) {
     ((x & 0xff) as usize, ((x >> 8) & 0xff) as usize)
 }
 
-/// One cache op: `(key, payload_len, is_put)` unpacked from fuzz bits.
-fn decode_op(x: u64, key_space: u64, max_len: usize) -> (u64, usize, bool) {
+/// One cache op: `(node, payload_len, is_put)` unpacked from fuzz bits.
+fn decode_op(x: u64, key_space: usize, max_len: usize) -> (usize, usize, bool) {
     (
-        x & (key_space - 1),
+        x as usize & (key_space - 1),
         1 + ((x >> 8) as usize % max_len),
         (x >> 16) & 1 == 1,
     )
@@ -123,7 +123,7 @@ proptest! {
         let evict_0 = metrics::SERVE_CACHE_EVICT.get();
 
         let (mut gets, mut hits) = (0u64, 0u64);
-        let mut resident: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        let mut resident: std::collections::HashSet<usize> = std::collections::HashSet::new();
         let mut puts_evicting = 0u64;
         for (key, len, is_put) in packed_ops.iter().map(|&x| decode_op(x, 8, 7)) {
             if is_put {
@@ -135,7 +135,7 @@ proptest! {
                     puts_evicting += 1;
                     prop_assert_eq!(cache.len(), max_entries);
                     // Resync the resident model from the cache's own ledger.
-                    resident = (0u64..8).filter(|k| {
+                    resident = (0usize..8).filter(|k| {
                         matches!(cache.get(*k), Lookup::Hit(_))
                     }).collect();
                     gets += 8;
