@@ -27,13 +27,20 @@ done
 echo "== cargo test -q"
 cargo test -q
 
-echo "== crate tests (tensor, core, verify, lint, obs, serve, explain, graph, data, metrics, gnn, resilience; release)"
+echo "== sesbench builds and passes its self-tests (release)"
+# The end-to-end benchmark is its own cargo workspace and compiles against
+# the library crates' public items; a benchmark that no longer builds fails
+# every run, so build it (and run its self-tests) on every change.
+cargo test -q --release --offline --manifest-path sesbench/Cargo.toml
+
+echo "== crate tests (tensor, core, verify, lint, obs, serve, explain, graph, data, metrics, gnn, resilience, race, bench; release)"
 # Tier-1 above runs only the facade package; the kernel, tape-op, verifier,
-# telemetry, serving, explainer, graph, dataset, metric, encoder and
-# checkpoint suites live in their own crates. Release: the core training
-# tests run whole fits, which take minutes under the debug sanitizer.
+# telemetry, serving, explainer, graph, dataset, metric, encoder,
+# checkpoint, model-checker and bench-harness suites live in their own
+# crates. Release: the core training tests run whole fits, which take
+# minutes under the debug sanitizer.
 cargo test -q --release -p ses-tensor -p ses-core -p ses-verify -p ses-lint -p ses-obs -p ses-serve -p ses-explain \
-  -p ses-graph -p ses-data -p ses-metrics -p ses-gnn -p ses-resilience
+  -p ses-graph -p ses-data -p ses-metrics -p ses-gnn -p ses-resilience -p ses-race -p ses-bench
 
 echo "== race-check (model-checked interleavings, <60s budget)"
 # The clean suite must explore >=10k schedules and exit 0; each seeded

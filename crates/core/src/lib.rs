@@ -38,6 +38,6 @@ pub mod pairs;
 
 pub use config::{MaskedGraph, SesConfig, SesVariant};
 pub use explanation::Explanations;
-pub use mask::{MaskGenerator, MaskOutput};
-pub use model::{explain_step_ir, fit, run_epl, MaskSnapshot, SesReport, TrainedSes};
+pub use mask::{MaskGenerator, MaskOutput, SupportMaskOutput};
+pub use model::{explain_step_irs, fit, run_epl, MaskSnapshot, SesReport, TrainedSes};
 pub use pairs::{construct_pairs, PairSets};

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use ses_tensor::{init, CsrStructure, Matrix, Param, Tape, Var};
+use ses_tensor::{init, CsrMatrix, CsrStructure, Matrix, Param, Tape, Var};
 
 /// Learnable parameters of the mask generator (`θ_m` in the paper).
 #[derive(Debug, Clone)]
@@ -27,6 +27,24 @@ pub struct MaskGenerator {
     b_s: Param,
     hidden: usize,
     feat_dim: usize,
+}
+
+/// What [`MaskGenerator::record_on_support`] leaves on the tape: the
+/// feature mask already applied to the input, on the input's support only.
+pub struct SupportMaskOutput {
+    /// `M_f ⊙ X` (`n × F`): the masked input of Eq. 8, computed only on
+    /// `X`'s kept entries (`+0.0` elsewhere, as `M_f · 0.0` would be).
+    pub masked_input: Var,
+    /// The feature MLP's hidden layer `relu(H·W₁ + b₁)` (`n × hidden`),
+    /// from which `M_f` can be re-derived off the tape.
+    pub hidden: Var,
+    /// Structure mask `M_s` over the k-hop edges (`nnz × 1`).
+    pub structure: Var,
+    /// Negative structure mask `M_sneg`, one row per negative pair.
+    pub structure_neg: Var,
+    /// Parameter leaves recorded on the tape, aligned with
+    /// [`MaskGenerator::params_mut`].
+    pub param_vars: Vec<Var>,
 }
 
 /// The masks produced during one forward pass (tape variables).
@@ -114,6 +132,55 @@ impl MaskGenerator {
 
         MaskOutput {
             feature,
+            structure,
+            structure_neg,
+            param_vars: vec![w1, b1, w2, b2, ws, bs],
+        }
+    }
+
+    /// The training-time recording of [`MaskGenerator::forward`] followed
+    /// by `M_f ⊙ x`, for a sparse input `x` (its kept entries, e.g. from
+    /// [`ses_tensor::CsrMatrix::support_of`]): the MLP's hidden layer is
+    /// recorded where `forward` records it, then one
+    /// [`Tape::feature_gate`] evaluates Eq. 3 only on `x`'s support, then
+    /// the two structure masks. No `n × F` mask is materialised.
+    ///
+    /// The masked input, the structure masks and every gradient they send
+    /// back are bit-identical to `forward` followed by
+    /// `tape.mul(feature, x)` (the gate's contract), and `H` receives its
+    /// gradient contributions in the same order.
+    #[allow(clippy::too_many_arguments)] // forward's pair-set arrays plus the sparse input
+    pub fn record_on_support(
+        &self,
+        tape: &mut Tape,
+        h: Var,
+        x: &Arc<CsrMatrix>,
+        khop: &Arc<CsrStructure>,
+        khop_rows: &Arc<Vec<usize>>,
+        khop_cols: &Arc<Vec<usize>>,
+        neg_anchor: &Arc<Vec<usize>>,
+        neg_other: &Arc<Vec<usize>>,
+    ) -> SupportMaskOutput {
+        assert_eq!(khop_rows.len(), khop.nnz());
+        assert_eq!(neg_anchor.len(), neg_other.len());
+        let w1 = self.mlp_w1.watch(tape);
+        let b1 = self.mlp_b1.watch(tape);
+        let w2 = self.mlp_w2.watch(tape);
+        let b2 = self.mlp_b2.watch(tape);
+        let ws = self.w_s.watch(tape);
+        let bs = self.b_s.watch(tape);
+
+        let m1 = tape.linear(h, w1, b1);
+        let hidden = tape.relu(m1);
+        // Eq. (3) applied to X: σ(m₁ W₂ + b₂) ⊙ X on supp(X)
+        let masked_input = tape.feature_gate(hidden, w2, b2, x.clone());
+        // Eq. (4), as in `forward`
+        let structure = tape.pair_score(h, khop_rows.clone(), khop_cols.clone(), ws, bs);
+        let structure_neg = tape.pair_score(h, neg_anchor.clone(), neg_other.clone(), ws, bs);
+
+        SupportMaskOutput {
+            masked_input,
+            hidden,
             structure,
             structure_neg,
             param_vars: vec![w1, b1, w2, b2, ws, bs],

@@ -13,7 +13,7 @@ use ses_gnn::{AdjView, Encoder, ForwardCtx};
 use ses_graph::{khop_structure, khop_structure_capped, Graph, NegativeSets};
 use ses_metrics::accuracy;
 use ses_resilience::{fault, FaultKind, RecoveryManager, TrainCheckpoint, Verdict};
-use ses_tensor::{Adam, CsrStructure, Matrix, Optimizer, Tape, Var};
+use ses_tensor::{Adam, CsrMatrix, CsrStructure, Matrix, Optimizer, Tape, Var};
 
 use crate::config::SesConfig;
 use crate::explanation::Explanations;
@@ -95,6 +95,10 @@ struct SesContext {
     negatives: NegativeSets,
     labels: Arc<Vec<usize>>,
     train_idx: Arc<Vec<usize>>,
+    /// The kept entries of `X` when `X` is sparse by the matmul family's
+    /// predicate ([`CsrMatrix::support_of`]): phase 1 then evaluates Eq. 3
+    /// on `X`'s support only (see [`record_explain_step`]).
+    feature_support: Option<Arc<CsrMatrix>>,
 }
 
 impl SesContext {
@@ -121,6 +125,7 @@ impl SesContext {
             negatives,
             labels: Arc::new(graph.labels().to_vec()),
             train_idx: Arc::new(splits.train.clone()),
+            feature_support: CsrMatrix::support_of(graph.features()).map(Arc::new),
         }
     }
 }
@@ -173,24 +178,65 @@ fn lift_mask(tape: &mut Tape, ms: Var, n_nodes: usize, map: &Arc<Vec<usize>>) ->
     tape.gather_rows(extended, map.clone())
 }
 
+/// How one explainable-training step recorded the feature mask (Eq. 3).
+enum FeatureMask {
+    /// `M_f` itself (`n × F`); Eq. 8 multiplies it into `X` on the tape.
+    Dense(Var),
+    /// `M_f ⊙ X` on `X`'s support only
+    /// ([`MaskGenerator::record_on_support`]), and the feature MLP's hidden
+    /// layer that `M_f` is re-derived from for the epoch record.
+    OnSupport { masked_input: Var, hidden: Var },
+}
+
 /// Everything one explainable-training step leaves on its tape, before
 /// `backward` and the optimiser touch it.
 struct ExplainStep {
     tape: Tape,
     out: ses_gnn::EncoderOutput,
-    masks: crate::mask::MaskOutput,
+    feature: FeatureMask,
+    structure: Var,
+    /// Mask-generator parameter leaves, aligned with
+    /// [`MaskGenerator::params_mut`].
+    mask_params: Vec<Var>,
     l_xent: Var,
     l_sub: Var,
     l_m_val: Option<f32>,
     loss: Var,
 }
 
+/// Positions of `W₂` and `b₂` (the feature MLP's output layer) in
+/// [`MaskGenerator::params_mut`] order.
+const MLP_W2: usize = 2;
+const MLP_B2: usize = 3;
+
+/// `M_f = σ(m₁ W₂ + b₂)` over all `n × F` entries, off the tape, from the
+/// hidden layer and weights a support-path step recorded: the tape's
+/// `matmul`, `add_row_broadcast` and `sigmoid` expressions, so the same
+/// bits as the dense recording's `M_f`.
+fn feature_mask_off_tape(hidden: &Matrix, w2: &Matrix, b2: &Matrix) -> Matrix {
+    let mut m = hidden.matmul(w2);
+    let b = b2.as_slice();
+    for r in 0..m.rows() {
+        for (v, &bj) in m.row_mut(r).iter_mut().zip(b) {
+            *v += bj;
+        }
+    }
+    m.map_inplace(|x| 1.0 / (1.0 + (-x).exp()));
+    m
+}
+
 /// Records one explainable-training step (Eqs. 2 and 7–9) on a fresh tape:
 /// plain forward, mask-generator forward, subgraph loss, masked re-encoding
 /// consistency loss, and the combined objective. This is the single source
 /// of the phase-1 architecture — `fit`'s epoch loop runs it, and
-/// [`explain_step_ir`] exports its IR for the `ses-verify` clean-run gate,
+/// [`explain_step_irs`] exports its IR for the `ses-verify` clean-run gate,
 /// so the verifier always checks exactly what training records.
+///
+/// When `X` is sparse ([`SesContext::feature_support`]) and nothing needs
+/// `M_f` beyond `M_f ⊙ X` (the masked re-encoding is on and there is no
+/// mask-size penalty, whose mean runs over all `n × F` entries), Eq. 3 is
+/// recorded on `X`'s support only. Loss and gradients are bit-identical
+/// to the dense recording either way.
 fn record_explain_step<E: Encoder + ?Sized>(
     encoder: &mut E,
     mask_gen: &mut MaskGenerator,
@@ -199,6 +245,10 @@ fn record_explain_step<E: Encoder + ?Sized>(
     config: &SesConfig,
     rng: &mut StdRng,
 ) -> ExplainStep {
+    let support = ctx
+        .feature_support
+        .as_ref()
+        .filter(|_| config.variant.use_masked_xent && config.mask_size_weight <= 0.0);
     let mut tape = Tape::new();
     let x = tape.constant(graph.features().clone());
 
@@ -218,18 +268,41 @@ fn record_explain_step<E: Encoder + ?Sized>(
 
     // negative pair endpoints, re-sampled each epoch
     let (neg_a, neg_b) = sample_negative_endpoints(ctx, rng);
-    let masks = mask_gen.forward(
-        &mut tape,
-        out.hidden,
-        &ctx.khop,
-        &ctx.khop_rows,
-        &ctx.khop_cols,
-        &neg_a,
-        &neg_b,
-    );
+    let (feature, structure, structure_neg, mask_params) = match support {
+        Some(xs) => {
+            let m = mask_gen.record_on_support(
+                &mut tape,
+                out.hidden,
+                xs,
+                &ctx.khop,
+                &ctx.khop_rows,
+                &ctx.khop_cols,
+                &neg_a,
+                &neg_b,
+            );
+            let feature = FeatureMask::OnSupport {
+                masked_input: m.masked_input,
+                hidden: m.hidden,
+            };
+            (feature, m.structure, m.structure_neg, m.param_vars)
+        }
+        None => {
+            let m = mask_gen.forward(
+                &mut tape,
+                out.hidden,
+                &ctx.khop,
+                &ctx.khop_rows,
+                &ctx.khop_cols,
+                &neg_a,
+                &neg_b,
+            );
+            let feature = FeatureMask::Dense(m.feature);
+            (feature, m.structure, m.structure_neg, m.param_vars)
+        }
+    };
 
     // Eq. (7): subgraph loss against stacked labels [1 ; 0]
-    let stacked = tape.concat_rows(masks.structure, masks.structure_neg);
+    let stacked = tape.concat_rows(structure, structure_neg);
     let nnz = ctx.khop.nnz();
     let mut targets = Matrix::ones(2 * nnz, 1);
     for i in nnz..2 * nnz {
@@ -240,12 +313,15 @@ fn record_explain_step<E: Encoder + ?Sized>(
     // Eq. (8): masked re-encoding consistency loss
     let mut l_m_val = None;
     let mask_obj = if config.variant.use_masked_xent {
-        let xm = tape.mul(masks.feature, x);
+        let (xm, dense_feature) = match feature {
+            FeatureMask::OnSupport { masked_input, .. } => (masked_input, None),
+            FeatureMask::Dense(f) => (tape.mul(f, x), Some(f)),
+        };
         let (view, map) = match config.masked_graph {
             crate::config::MaskedGraph::OneHop => (&ctx.adj, &ctx.onehop_lift),
             crate::config::MaskedGraph::KHop => (&ctx.khop_view, &ctx.khop_lift),
         };
-        let lifted = lift_mask(&mut tape, masks.structure, graph.n_nodes(), map);
+        let lifted = lift_mask(&mut tape, structure, graph.n_nodes(), map);
         let out_m = {
             let mut fctx = ForwardCtx {
                 tape: &mut tape,
@@ -263,8 +339,11 @@ fn record_explain_step<E: Encoder + ?Sized>(
         let weighted_sub = tape.scale(l_sub, config.sub_loss_weight);
         let mut obj = tape.add(weighted_sub, l_m);
         if config.mask_size_weight > 0.0 {
-            let s_size = tape.mean_all(masks.structure);
-            let f_size = tape.mean_all(masks.feature);
+            let feature = dense_feature
+                // lint:allow(no-unwrap): `support` is None under a size penalty, so M_f is dense
+                .expect("a mask-size penalty records M_f densely");
+            let s_size = tape.mean_all(structure);
+            let f_size = tape.mean_all(feature);
             let sizes = tape.add(s_size, f_size);
             let pen = tape.scale(sizes, config.mask_size_weight);
             obj = tape.add(obj, pen);
@@ -281,7 +360,9 @@ fn record_explain_step<E: Encoder + ?Sized>(
     ExplainStep {
         tape,
         out,
-        masks,
+        feature,
+        structure,
+        mask_params,
         l_xent,
         l_sub,
         l_m_val,
@@ -293,40 +374,62 @@ fn record_explain_step<E: Encoder + ?Sized>(
 /// GCN encoder plus mask generator over a small fixed graph, full Eq. 9
 /// objective — through the production recording path
 /// ([`record_explain_step`], the same function `fit`'s phase-1 loop calls)
-/// and exports `(tape IR, loss node id)`.
+/// and exports `(name, tape IR, loss node id)`, once per way that path can
+/// record Eq. 3:
 ///
-/// This is the fixture behind `ses-verify`'s clean-run gate: a false
-/// positive on this trace means the static verifier disagrees with what SES
-/// training actually records, not with a hand-written imitation of it.
-pub fn explain_step_ir() -> (ses_tensor::TapeIr, usize) {
-    let mut rng = StdRng::seed_from_u64(7);
+/// * `"dense"` — dense features and a mask-size penalty: `M_f` over all
+///   `n × F` entries, multiplied into `X`;
+/// * `"support"` — sparse features and no penalty: `M_f ⊙ X` on `X`'s
+///   support through `feature_gate`.
+///
+/// These are the fixtures behind `ses-verify`'s clean-run gate: a false
+/// positive on these traces means the static verifier disagrees with what
+/// SES training actually records, not with a hand-written imitation of it.
+pub fn explain_step_irs() -> Vec<(&'static str, ses_tensor::TapeIr, usize)> {
     // Two feature-separable triangles joined by a bridge — 6 nodes, 2
     // classes, small enough that the 2-hop structure stays readable in
     // verifier diagnostics.
     let n = 6;
     let edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)];
-    let features = Matrix::from_vec(
+    let dense = Matrix::from_vec(
         n,
         4,
         (0..n * 4).map(|i| ((i % 7) as f32) * 0.3 - 0.9).collect(),
     );
-    let labels = vec![0, 0, 0, 1, 1, 1];
-    let graph = Graph::new(n, &edges, features, labels);
-    let splits = Splits {
-        train: vec![0, 1, 3, 4],
-        val: vec![2],
-        test: vec![5],
-    };
-    let config = SesConfig {
-        k: 2,
-        mask_size_weight: 0.1,
-        ..SesConfig::default()
-    };
-    let ctx = SesContext::build(&graph, &splits, &config, &mut rng);
-    let mut encoder = ses_gnn::Gcn::new(graph.n_features(), 5, graph.n_classes(), &mut rng);
-    let mut mask_gen = MaskGenerator::new(encoder.hidden_dim(), graph.n_features(), &mut rng);
-    let step = record_explain_step(&mut encoder, &mut mask_gen, &graph, &ctx, &config, &mut rng);
-    (step.tape.export_ir(), step.loss.index())
+    // A bag-of-words-like input: one word per node, a second one on even
+    // nodes, 9 of 48 entries set.
+    let mut sparse = Matrix::zeros(n, 8);
+    for i in 0..n {
+        sparse[(i, i)] = 1.0;
+        if i % 2 == 0 {
+            sparse[(i, (i + 3) % 8)] = 0.5;
+        }
+    }
+    [("dense", dense, 0.1), ("support", sparse, 0.0)]
+        .into_iter()
+        .map(|(name, features, mask_size_weight)| {
+            let mut rng = StdRng::seed_from_u64(7);
+            let labels = vec![0, 0, 0, 1, 1, 1];
+            let graph = Graph::new(n, &edges, features, labels);
+            let splits = Splits {
+                train: vec![0, 1, 3, 4],
+                val: vec![2],
+                test: vec![5],
+            };
+            let config = SesConfig {
+                k: 2,
+                mask_size_weight,
+                ..SesConfig::default()
+            };
+            let ctx = SesContext::build(&graph, &splits, &config, &mut rng);
+            let mut encoder = ses_gnn::Gcn::new(graph.n_features(), 5, graph.n_classes(), &mut rng);
+            let mut mask_gen =
+                MaskGenerator::new(encoder.hidden_dim(), graph.n_features(), &mut rng);
+            let step =
+                record_explain_step(&mut encoder, &mut mask_gen, &graph, &ctx, &config, &mut rng);
+            (name, step.tape.export_ir(), step.loss.index())
+        })
+        .collect()
 }
 
 /// Fits SES on a graph: Algorithm 2 end to end.
@@ -373,7 +476,9 @@ pub fn fit<E: Encoder>(
         let ExplainStep {
             mut tape,
             out,
-            masks,
+            feature,
+            structure,
+            mask_params,
             l_xent,
             l_sub,
             l_m_val,
@@ -385,7 +490,7 @@ pub fn fit<E: Encoder>(
         let grads_finite = out
             .param_vars
             .iter()
-            .chain(masks.param_vars.iter())
+            .chain(mask_params.iter())
             .filter_map(|&v| tape.grad(v))
             .all(|g| g.as_slice().iter().all(|x| x.is_finite()));
         if let Verdict::Diverged(reason) = mask_manager.observe(loss_val, grads_finite) {
@@ -433,7 +538,7 @@ pub fn fit<E: Encoder>(
             &mut encoder,
             Some(&mut mask_gen),
             &out.param_vars,
-            &masks.param_vars,
+            &mask_params,
         );
 
         if mask_manager.checkpoint_due(epoch as u64) {
@@ -458,8 +563,15 @@ pub fn fit<E: Encoder>(
         ses_obs::slo::global().observe("epoch", epoch_ns);
 
         if ses_obs::sink::active() {
-            let (feat_mean, feat_sparsity) = mask_stats(tape.value(masks.feature));
-            let (struct_mean, struct_sparsity) = mask_stats(tape.value(masks.structure));
+            let (feat_mean, feat_sparsity) = match feature {
+                FeatureMask::Dense(f) => mask_stats(tape.value(f)),
+                FeatureMask::OnSupport { hidden, .. } => mask_stats(&feature_mask_off_tape(
+                    tape.value(hidden),
+                    tape.value(mask_params[MLP_W2]),
+                    tape.value(mask_params[MLP_B2]),
+                )),
+            };
+            let (struct_mean, struct_sparsity) = mask_stats(tape.value(structure));
             let mut rec = ses_obs::Record::new("epoch")
                 .str("phase", "explain")
                 .int("epoch", epoch as i64)
@@ -1011,6 +1123,63 @@ mod tests {
             epochs_explain: 60,
             epochs_epl: 8,
             ..Default::default()
+        }
+    }
+
+    /// Records one phase-1 step of `config` on `data`'s graph with a fresh
+    /// GCN + mask generator, either with `X`'s support (when `X` is sparse)
+    /// or forced dense, and returns the loss bits, every encoder and
+    /// mask-generator gradient's bits, and the number of `feature_gate`
+    /// nodes recorded.
+    fn phase1_step_bits(graph: &Graph, on_support: bool) -> (Vec<Vec<u32>>, usize) {
+        let config = SesConfig::default();
+        let mut rng = StdRng::seed_from_u64(31);
+        let splits = Splits::classification(graph.n_nodes(), &mut rng);
+        let mut encoder = Gcn::new(graph.n_features(), 16, graph.n_classes(), &mut rng);
+        let mut mask_gen = MaskGenerator::new(16, graph.n_features(), &mut rng);
+        let mut ctx = SesContext::build(graph, &splits, &config, &mut rng);
+        assert!(ctx.feature_support.is_some(), "fixture features are sparse");
+        if !on_support {
+            ctx.feature_support = None;
+        }
+        let step = record_explain_step(&mut encoder, &mut mask_gen, graph, &ctx, &config, &mut rng);
+        let gates = step
+            .tape
+            .export_ir()
+            .nodes
+            .iter()
+            .filter(|n| n.op == "feature_gate")
+            .count();
+        let ExplainStep {
+            mut tape,
+            out,
+            mask_params,
+            loss,
+            ..
+        } = step;
+        tape.backward(loss);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+        let mut all = vec![bits(tape.value(loss))];
+        for &v in out.param_vars.iter().chain(&mask_params) {
+            all.push(bits(tape.grad_unwrap(v)));
+        }
+        (all, gates)
+    }
+
+    #[test]
+    fn phase1_on_support_is_bit_identical_to_dense() {
+        let mut rng = StdRng::seed_from_u64(30);
+        let cora = realworld::cora_like(Profile::Fast, &mut rng).graph;
+        let polblogs = realworld::polblogs_like(Profile::Fast, &mut rng).graph;
+        for (name, graph) in [("cora-like", &cora), ("polblogs-like", &polblogs)] {
+            let (dense, dense_gates) = phase1_step_bits(graph, false);
+            let (support, support_gates) = phase1_step_bits(graph, true);
+            assert_eq!((dense_gates, support_gates), (0, 1), "{name}");
+            assert_eq!(dense.len(), support.len());
+            for (i, (d, s)) in dense.iter().zip(&support).enumerate() {
+                let what = if i == 0 { "loss" } else { "parameter gradient" };
+                assert_eq!(d, s, "{name}: {what} {i} differs");
+            }
         }
     }
 

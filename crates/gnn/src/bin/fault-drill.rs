@@ -20,9 +20,12 @@ use ses_resilience::{FaultKind, RecoveryPolicy};
 
 fn main() {
     // Counters must count regardless of ambient SES_OBS, and worker-panic
-    // faults only fire when kernels actually spawn workers.
+    // faults only fire when kernels actually spawn workers: four threads,
+    // and no crossover clamp, which keeps every kernel of this small model
+    // serial (the feature product runs sparse, at 400 entries).
     ses_obs::set_enabled_override(Some(true));
     ses_tensor::par::set_thread_override(4);
+    ses_tensor::par::dispatch::set_bypass(true);
 
     let recovery_off = std::env::var("SES_RECOVERY").is_ok_and(|v| v == "off");
     let fault = ses_resilience::fault::from_env();

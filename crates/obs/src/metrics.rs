@@ -118,7 +118,8 @@ pub static SPMM_NNZ: Counter = Counter::new("kernel.spmm.nnz");
 pub static EDGE_SOFTMAX_CALLS: Counter = Counter::new("kernel.edge_softmax.calls");
 /// Dense matmul-family kernel invocations.
 pub static MATMUL_CALLS: Counter = Counter::new("kernel.matmul.calls");
-/// Fused multiply-adds across all dense matmul-family calls.
+/// Multiply-adds the matmul family actually does: `m·k·n` on the dense
+/// panels, `nnz·n` when a sparse left operand runs the CSR row body.
 pub static MATMUL_FLOPS: Counter = Counter::new("kernel.matmul.fmas");
 /// Multiply-adds across all fused pair-scorer calls (forward + backward).
 pub static PAIR_SCORE_FMAS: Counter = Counter::new("kernel.pair_score.fmas");

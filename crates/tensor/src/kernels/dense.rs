@@ -1,4 +1,5 @@
-//! Dense matmul family: row-parallel, register-blocked lane kernels.
+//! Dense matmul family: row-parallel, register-blocked lane kernels, with
+//! a CSR row body for a sparse left operand.
 //!
 //! All three variants run the same `matmul` body — `t_matmul` and `matmul_t`
 //! first copy the operand they read transposed into a pooled scratch
@@ -14,6 +15,12 @@
 //! (the scalar loop reloaded it per row), and the output is stored once per
 //! panel instead of read-modified-written per `k` step.
 //!
+//! When the left operand (`a`, `aᵀ` for `t_matmul`) is sparse by
+//! [`super::support`]'s predicate, the product runs the `spmm` row body over
+//! its kept entries instead ([`support_product`]): same ascending-`k` sums,
+//! minus terms that are `±0.0`, so the same bits whenever the right operand
+//! is finite (the argument is in [`super::support`]).
+//!
 //! Each public wrapper validates shapes up front, consults the measured
 //! crossover table ([`par::dispatch`]) to decide serial vs parallel, then
 //! runs its compute body through [`par::run_isolated`]: a worker panic
@@ -24,6 +31,7 @@
 use std::ops::Range;
 
 use super::lane::{F32x8, LANES};
+use super::support::SupportRows;
 use crate::matrix::Matrix;
 use crate::par;
 
@@ -32,19 +40,14 @@ use crate::par;
 /// 16 architectural vector registers of x86-64/AArch64.
 const PANEL_ROWS: usize = 4;
 
-/// Bumps the matmul-family telemetry counters for an `m×k × k×n` product.
-fn record_matmul(m: usize, k: usize, n: usize) {
-    ses_obs::metrics::MATMUL_CALLS.incr();
-    ses_obs::metrics::MATMUL_FLOPS.add((m as u64) * (k as u64) * (n as u64));
-}
-
-/// `a × b`: register-blocked lane micro-panels (see the module docs).
+/// `a × b`: the CSR row body when `a` is sparse, register-blocked lane
+/// micro-panels otherwise (see the module docs).
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
 pub fn matmul(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     let _span = ses_obs::span!("kernel.matmul");
-    record_matmul(a.rows(), a.cols(), b.cols());
+    ses_obs::metrics::MATMUL_CALLS.incr();
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -54,7 +57,10 @@ pub fn matmul(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
         b.rows(),
         b.cols()
     );
-    matmul_dispatch("matmul", a, b, threads)
+    match SupportRows::of(a) {
+        Some(rows) => support_product("matmul", &rows, b, threads),
+        None => matmul_dispatch("matmul", a, b, threads),
+    }
 }
 
 /// Runs `a × b` at the thread count the crossover table gives `kernel` (the
@@ -62,12 +68,28 @@ pub fn matmul(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
 /// the serial body if a worker panics.
 fn matmul_dispatch(kernel: &'static str, a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     let work = a.rows() * a.cols() * b.cols();
+    ses_obs::metrics::MATMUL_FLOPS.add(work as u64);
     let threads = par::dispatch::threads_for(kernel, work, threads);
     par::run_isolated(
         kernel,
         threads,
         || matmul_impl(a, b, threads),
         || matmul_impl(a, b, 1),
+    )
+}
+
+/// `A × b` for a sparse left operand `A` given by its kept entries: the
+/// `spmm` row body, on `spmm`'s crossover and row partition. Counts the
+/// `nnz · n` multiply-adds it does.
+fn support_product(kernel: &'static str, rows: &SupportRows, b: &Matrix, threads: usize) -> Matrix {
+    let nnz = rows.nnz();
+    ses_obs::metrics::MATMUL_FLOPS.add((nnz as u64) * (b.cols() as u64));
+    let threads = par::dispatch::threads_for("spmm", nnz, threads);
+    par::run_isolated(
+        kernel,
+        threads,
+        || super::sparse::lanes_product(&rows.indptr, &rows.lanes, b, threads),
+        || super::sparse::lanes_product(&rows.indptr, &rows.lanes, b, 1),
     )
 }
 
@@ -162,15 +184,17 @@ fn matmul_panel<const R: usize>(a: &Matrix, b: &Matrix, i0: usize, out: &mut [f3
 }
 
 /// `aᵀ × b`: `matmul(aᵀ, b)` on the lane panels, with `aᵀ` leased from the
-/// scratch pool and recycled. Each output element still sums `k` (rows of
-/// `a`/`b`) in ascending order with separate multiply and add, so the bits
-/// match the axpy-per-row formulation of [`super::reference::t_matmul`].
+/// scratch pool and recycled, or the CSR row body over `aᵀ`'s kept entries
+/// (gathered from `a` without the copy) when `a` is sparse. Each output
+/// element still sums `k` (rows of `a`/`b`) in ascending order with
+/// separate multiply and add, so the bits match the axpy-per-row
+/// formulation of [`super::reference::t_matmul`].
 ///
 /// # Panics
 /// Panics if `a.rows() != b.rows()`.
 pub fn t_matmul(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     let _span = ses_obs::span!("kernel.t_matmul");
-    record_matmul(a.cols(), a.rows(), b.cols());
+    ses_obs::metrics::MATMUL_CALLS.incr();
     assert_eq!(
         a.rows(),
         b.rows(),
@@ -180,22 +204,25 @@ pub fn t_matmul(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
         b.rows(),
         b.cols()
     );
+    if let Some(rows) = SupportRows::of_transpose(a) {
+        return support_product("t_matmul", &rows, b, threads);
+    }
     let at = a.transpose();
     let out = matmul_dispatch("t_matmul", &at, b, threads);
     at.recycle();
     out
 }
 
-/// `a × bᵀ`: `matmul(a, bᵀ)` on the lane panels, with `bᵀ` leased from the
-/// scratch pool and recycled. Each output element is one ascending-`k`
-/// chain from a zero accumulator, exactly the dot product of
-/// [`super::reference::matmul_t`].
+/// `a × bᵀ`: `matmul(a, bᵀ)` on the lane panels (or the CSR row body when
+/// `a` is sparse), with `bᵀ` leased from the scratch pool and recycled.
+/// Each output element is one ascending-`k` chain from a zero accumulator,
+/// exactly the dot product of [`super::reference::matmul_t`].
 ///
 /// # Panics
 /// Panics if `a.cols() != b.cols()`.
 pub fn matmul_t(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
     let _span = ses_obs::span!("kernel.matmul_t");
-    record_matmul(a.rows(), a.cols(), b.rows());
+    ses_obs::metrics::MATMUL_CALLS.incr();
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -206,7 +233,10 @@ pub fn matmul_t(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
         b.cols()
     );
     let bt = b.transpose();
-    let out = matmul_dispatch("matmul_t", a, &bt, threads);
+    let out = match SupportRows::of(a) {
+        Some(rows) => support_product("matmul_t", &rows, &bt, threads),
+        None => matmul_dispatch("matmul_t", a, &bt, threads),
+    };
     bt.recycle();
     out
 }

@@ -221,6 +221,26 @@ impl CsrLanes {
     pub fn range(&self, r: std::ops::Range<usize>) -> &[(u32, f32)] {
         &self.pairs[r]
     }
+
+    /// An empty stream over a recycled pair buffer, filled by the caller
+    /// (the support scan of [`super::support`]).
+    pub(crate) fn pooled() -> Self {
+        let mut pairs = PAIR_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+        pairs.clear();
+        CsrLanes { pairs }
+    }
+
+    /// The pair buffer itself, for code that appends or permutes entries.
+    #[inline]
+    pub(crate) fn pairs_mut(&mut self) -> &mut Vec<(u32, f32)> {
+        &mut self.pairs
+    }
+
+    /// Number of entries in the stream.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.pairs.len()
+    }
 }
 
 impl Drop for CsrLanes {

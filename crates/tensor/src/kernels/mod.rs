@@ -2,11 +2,13 @@
 //!
 //! Every hot loop in the workspace bottoms out here: the sparse × dense
 //! products and edge softmax that dominate SES mask learning, the fused
-//! structure-mask pair scorer, and the dense matmul family behind every
-//! linear layer. Each parallel kernel takes an explicit `threads` argument;
+//! structure-mask pair scorer, the Eq. 3 feature gate on a sparse input's
+//! support, and the dense matmul family behind every linear layer (which
+//! switches to a CSR row body when its left operand is sparse, see
+//! [`support`]). Each parallel kernel takes an explicit `threads` argument;
 //! the public wrappers ([`crate::Matrix::matmul`], [`crate::sparse::spmm`],
 //! the tape ops) pass [`crate::par::configured_threads`]. The pair scorer
-//! is serial.
+//! and the feature gate are serial.
 //!
 //! # Determinism
 //!
@@ -26,12 +28,16 @@
 
 pub mod lane;
 pub mod reference;
+pub mod support;
 
 mod dense;
+mod gate;
 mod pair;
 mod sparse;
 
 pub use dense::{matmul, matmul_t, t_matmul};
+pub use gate::feature_gate;
+pub(crate) use gate::feature_gate_backward;
 pub use pair::pair_score;
 pub(crate) use pair::pair_score_backward;
 pub use sparse::{edge_softmax, edge_softmax_backward, spmm, spmm_transpose, spmm_values_grad};

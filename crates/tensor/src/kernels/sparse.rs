@@ -67,16 +67,29 @@ pub fn spmm(structure: &CsrStructure, values: &[f32], dense: &Matrix, threads: u
 /// Compute body of [`spmm`] at an explicit thread count. The interleaved
 /// entry stream is built once here and shared (read-only) by every task.
 fn spmm_impl(structure: &CsrStructure, values: &[f32], dense: &Matrix, threads: usize) -> Matrix {
-    let f = dense.cols();
     let lanes = CsrLanes::build(structure.indices(), values, structure.n_cols());
-    let mut out = Matrix::zeros_pooled(structure.n_rows(), f);
-    let ranges = par::nnz_balanced_ranges(structure.indptr(), threads);
+    lanes_product(structure.indptr(), &lanes, dense, threads)
+}
+
+/// `out[r, :] = Σ_p v_p · dense[c_p, :]` over row `r`'s entries of the
+/// packed stream (`indptr` delimits the rows): the [`spmm`] body, shared
+/// with the matmul family's sparse-operand path. Rows are cut into
+/// nnz-balanced blocks, one task each, so the bits do not depend on
+/// `threads`.
+pub(super) fn lanes_product(
+    indptr: &[usize],
+    lanes: &CsrLanes,
+    dense: &Matrix,
+    threads: usize,
+) -> Matrix {
+    let f = dense.cols();
+    let mut out = Matrix::zeros_pooled(indptr.len() - 1, f);
+    let ranges = par::nnz_balanced_ranges(indptr, threads);
     let slices = par::split_rows_mut(out.as_mut_slice(), f, &ranges);
-    let lanes_ref = &lanes;
     let tasks: Vec<_> = ranges
         .into_iter()
         .zip(slices)
-        .map(|(rows, slice)| move || spmm_rows(structure, lanes_ref, dense, rows, slice))
+        .map(|(rows, slice)| move || spmm_rows(indptr, lanes, dense, rows, slice))
         .collect();
     par::run_tasks(threads, tasks);
     out
@@ -92,7 +105,7 @@ fn spmm_impl(structure: &CsrStructure, values: &[f32], dense: &Matrix, threads: 
 /// groups, then a scalar tail finishes ragged feature counts. Entry groups
 /// are never zero-padded (see [`CsrLanes`]).
 fn spmm_rows(
-    structure: &CsrStructure,
+    indptr: &[usize],
     lanes: &CsrLanes,
     dense: &Matrix,
     rows: Range<usize>,
@@ -102,7 +115,7 @@ fn spmm_rows(
     let base = rows.start;
     for r in rows {
         let out_row = &mut out[(r - base) * f..(r - base + 1) * f];
-        let pairs = lanes.range(structure.row_range(r));
+        let pairs = lanes.range(indptr[r]..indptr[r + 1]);
         let mut j = 0;
         while j + 4 * LANES <= f {
             // Four independent accumulator chains (distinct output

@@ -50,10 +50,12 @@ static TABLE: [(&str, AtomicUsize); 8] = [
 
 /// When set, [`threads_for`] returns the caller's thread count unchanged.
 /// The bench calibrator needs raw parallel timings in exactly the region
-/// the clamp exists to protect.
+/// the clamp exists to protect, and the worker-panic fault drills need
+/// small problems to spawn workers at all.
 static BYPASS: AtomicBool = AtomicBool::new(false);
 
-/// Enables or disables the crossover clamp (bench calibration only).
+/// Enables or disables the crossover clamp (bench calibration, fault
+/// drills and parity tests only; it changes scheduling, never bits).
 pub fn set_bypass(on: bool) {
     BYPASS.store(on, Ordering::Relaxed); // ordering: standalone calibration flag; no data guarded
 }

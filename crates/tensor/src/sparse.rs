@@ -150,6 +150,27 @@ impl CsrMatrix {
         Self { structure, values }
     }
 
+    /// The kept entries of `m` (every value but `+0.0`) as a CSR matrix
+    /// when `m` is sparse by the predicate the matmul family switches on
+    /// ([`crate::kernels::support::sparse_budget`]), `None` otherwise. One
+    /// row-major scan, which stops early on a dense matrix.
+    pub fn support_of(m: &Matrix) -> Option<Self> {
+        let rows = crate::kernels::support::SupportRows::of(m)?;
+        let pairs = rows.lanes.range(0..rows.nnz());
+        let indices = pairs
+            .iter()
+            .map(|&(c, _)| crate::kernels::lane::col(c))
+            .collect();
+        let values = pairs.iter().map(|&(_, v)| v).collect();
+        let structure = CsrStructure {
+            n_rows: m.rows(),
+            n_cols: m.cols(),
+            indptr: rows.indptr,
+            indices,
+        };
+        Some(Self::new(Arc::new(structure), values))
+    }
+
     /// Creates a CSR matrix with all stored values equal to 1.
     pub fn binary(structure: Arc<CsrStructure>) -> Self {
         let nnz = structure.nnz();

@@ -250,6 +250,29 @@ impl Tape {
                 out.push((*bias, Matrix::full_pooled(1, 1, grads.bias)));
                 out
             }
+            Op::FeatureGate {
+                m,
+                w,
+                bias,
+                x,
+                gate,
+            } => {
+                let grads = crate::kernels::feature_gate_backward(
+                    val(*m),
+                    val(*w),
+                    x,
+                    gate,
+                    g,
+                    self.needs(*m),
+                );
+                let mut out = Vec::with_capacity(3);
+                if let Some(dm) = grads.m {
+                    out.push((*m, dm));
+                }
+                out.push((*w, grads.w));
+                out.push((*bias, grads.bias));
+                out
+            }
             Op::ConcatCols(a, b) => {
                 let (n, fa) = self.nodes[a.0].value.shape();
                 let fb = self.nodes[b.0].value.cols();

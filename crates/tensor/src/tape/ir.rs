@@ -20,7 +20,8 @@ use super::{Op, Tape};
 pub enum IrMeta {
     /// No extra metadata.
     None,
-    /// CSR structure dims for `spmm` / `edge_softmax`.
+    /// CSR structure dims for `spmm` / `edge_softmax`, and the support of
+    /// `feature_gate`'s sparse input.
     Sparse {
         /// Rows of the sparse operand.
         rows: usize,
@@ -125,6 +126,11 @@ impl Op {
                 rows: structure.n_rows(),
                 cols: structure.n_cols(),
                 nnz: structure.nnz(),
+            },
+            Op::FeatureGate { x, .. } => IrMeta::Sparse {
+                rows: x.n_rows(),
+                cols: x.n_cols(),
+                nnz: x.nnz(),
             },
             Op::EdgeSoftmax { structure, .. } => IrMeta::Sparse {
                 rows: structure.n_rows(),

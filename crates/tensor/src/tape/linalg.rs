@@ -1,9 +1,10 @@
 //! Linear-algebra forward operations: matmul, transpose, concatenation,
-//! row gathering.
+//! row gathering, and the feature gate on a sparse input's support.
 
 use std::sync::Arc;
 
 use super::{Op, Tape, Var};
+use crate::sparse::CsrMatrix;
 
 impl Tape {
     /// Matrix product `a × b`.
@@ -44,6 +45,39 @@ impl Tape {
         let v = self.value(a).concat_rows(self.value(b));
         let ng = self.needs(a) || self.needs(b);
         self.push(v, Op::ConcatRows(a, b), ng)
+    }
+
+    /// `σ(m × w + bias) ⊙ X`, evaluated only on the kept entries of the
+    /// sparse input `X` (every entry but `+0.0`) and `+0.0` elsewhere: the
+    /// SES feature mask (Eq. 3) applied to the input, as one op. `m` is
+    /// `n × h`, `w` is `h × f`, `bias` is `1 × f` and `X` is `n × f`; the
+    /// output is `n × f`. `X` is a constant.
+    ///
+    /// Forward and backward run on [`crate::kernels::feature_gate`] and its
+    /// backward kernel. The value and the gradients of `m`, `w` and `bias`
+    /// are bit-identical to the chain `linear` → `sigmoid` → `mul(·, X)` as
+    /// long as `w` and the upstream gradient are finite; the backward reads
+    /// the upstream gradient on the support only.
+    pub fn feature_gate(&mut self, m: Var, w: Var, bias: Var, x: Arc<CsrMatrix>) -> Var {
+        self.san_feature_gate_dims("feature_gate", m, w, bias, &x);
+        let (v, gate) = crate::kernels::feature_gate(
+            self.value(m),
+            self.value(w),
+            self.value(bias).as_slice(),
+            &x,
+        );
+        let ng = self.needs(m) || self.needs(w) || self.needs(bias);
+        self.push(
+            v,
+            Op::FeatureGate {
+                m,
+                w,
+                bias,
+                x,
+                gate,
+            },
+            ng,
+        )
     }
 
     /// `x Wᵀ`-style affine layer helper: `x × w + bias` (bias row-broadcast).

@@ -30,7 +30,7 @@ pub use sanitize::{sanitize_enabled, Leak, LeakBudget, LeakKind};
 use std::sync::Arc;
 
 use crate::matrix::Matrix;
-use crate::sparse::CsrStructure;
+use crate::sparse::{CsrMatrix, CsrStructure};
 
 /// Handle to a value recorded on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,6 +121,17 @@ pub(crate) enum Op {
         b_idx: Arc<Vec<usize>>,
         w: Var,
         bias: Var,
+    },
+    /// Feature gate on a sparse input's support (see
+    /// [`Tape::feature_gate`]): `σ(m · w + bias) ⊙ X` on `X`'s kept
+    /// entries, `+0.0` elsewhere. `gate` holds `σ(·)` per kept entry, in
+    /// CSR order.
+    FeatureGate {
+        m: Var,
+        w: Var,
+        bias: Var,
+        x: Arc<CsrMatrix>,
+        gate: Vec<f32>,
     },
     ConcatCols(Var, Var),
     ConcatRows(Var, Var),

@@ -29,7 +29,7 @@ use std::sync::OnceLock;
 
 use super::{Op, Tape, Var};
 use crate::matrix::Matrix;
-use crate::sparse::CsrStructure;
+use crate::sparse::{CsrMatrix, CsrStructure};
 
 /// True when the sanitizer is active for this process (see module docs).
 pub fn sanitize_enabled() -> bool {
@@ -86,6 +86,7 @@ impl Op {
             Op::EdgeSoftmax { .. } => "edge_softmax",
             Op::GatherRows { .. } => "gather_rows",
             Op::PairScore { .. } => "pair_score",
+            Op::FeatureGate { .. } => "feature_gate",
             Op::ConcatCols(..) => "concat_cols",
             Op::ConcatRows(..) => "concat_rows",
             Op::SumAll(..) => "sum_all",
@@ -146,6 +147,11 @@ impl Op {
             Op::GatherRows { src, .. } => f(*src),
             Op::PairScore { h, w, bias, .. } => {
                 f(*h);
+                f(*w);
+                f(*bias);
+            }
+            Op::FeatureGate { m, w, bias, .. } => {
+                f(*m);
                 f(*w);
                 f(*bias);
             }
@@ -311,6 +317,37 @@ impl Tape {
              structure has {} columns",
             dense.0,
             structure.n_cols()
+        );
+    }
+
+    /// Operand-shape check for [`Tape::feature_gate`]: `m` is `n × h`, `w`
+    /// is `h × f` and `bias` is `1 × f` for a sparse input of shape `n × f`.
+    pub(crate) fn san_feature_gate_dims(
+        &self,
+        op: &'static str,
+        m: Var,
+        w: Var,
+        bias: Var,
+        x: &CsrMatrix,
+    ) {
+        if !sanitize_enabled() {
+            return;
+        }
+        let (sm, sw, sb) = (self.shape(m), self.shape(w), self.shape(bias));
+        let (n, f) = (x.n_rows(), x.n_cols());
+        assert!(
+            sm.0 == n && sw == (sm.1, f) && sb == (1, f),
+            "SES_SANITIZE[{op}]: operands disagree with the {n}x{f} sparse input: \
+             node {} is {}x{}, node {} is {}x{}, node {} is {}x{}",
+            m.0,
+            sm.0,
+            sm.1,
+            w.0,
+            sw.0,
+            sw.1,
+            bias.0,
+            sb.0,
+            sb.1
         );
     }
 

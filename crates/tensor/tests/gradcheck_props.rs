@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use ses_tensor::gradcheck::assert_gradcheck;
-use ses_tensor::{CsrStructure, Matrix, Tape};
+use ses_tensor::{CsrMatrix, CsrStructure, Matrix, Tape};
 
 const TOL: f32 = 5e-3;
 
@@ -165,6 +165,25 @@ proptest! {
                 t.mean_all(q)
             });
         }
+    }
+
+    #[test]
+    fn grad_feature_gate(
+        m in small_mat(4, 3),
+        w in small_mat(3, 5),
+        bias in small_mat(1, 5),
+        xv in proptest::collection::vec(0.2f32..1.5, 6),
+    ) {
+        // Row 2 and column 3 have no support; row 0 carries three entries.
+        let s = Arc::new(CsrStructure::from_edges(
+            4, 5, &[(0, 0), (0, 2), (0, 4), (1, 1), (3, 0), (3, 2)],
+        ));
+        let x = Arc::new(CsrMatrix::new(s, xv));
+        assert_gradcheck(&[m, w, bias], TOL, move |t, vs| {
+            let y = t.feature_gate(vs[0], vs[1], vs[2], x.clone());
+            let q = t.mul(y, y);
+            t.mean_all(q)
+        });
     }
 
     #[test]

@@ -244,16 +244,18 @@ pub fn run(defect: Option<SeededDefect>) -> SelfCheckReport {
             );
             // The production architecture itself: one explainable-training
             // step (GCN + mask generator, full Eq. 9 objective) recorded by
-            // the same ses-core code `fit` runs, not a hand-built imitation.
-            let (ir, loss) = ses_core::explain_step_ir();
-            verify_ir(
-                &mut report,
-                &ir,
-                &TapeCheckConfig {
-                    loss: Some(loss),
-                    leak_budget: Some(LeakBudget::zero()),
-                },
-            );
+            // the same ses-core code `fit` runs, not a hand-built imitation —
+            // once with Eq. 3 dense, once on a sparse input's support.
+            for (_name, ir, loss) in ses_core::explain_step_irs() {
+                verify_ir(
+                    &mut report,
+                    &ir,
+                    &TapeCheckConfig {
+                        loss: Some(loss),
+                        leak_budget: Some(LeakBudget::zero()),
+                    },
+                );
+            }
             // Every backbone architecture the bench binaries train, recorded
             // through the real `Encoder::forward` paths and statically
             // verified with a zero leak budget.
@@ -352,25 +354,36 @@ mod tests {
         // The IR exported from one production explainable-training step
         // must pass every static check: shapes, backward coverage,
         // determinism registry, and full reachability of all trainable
-        // leaves (encoder + mask generator) from the Eq. 9 loss.
-        let (ir, loss) = ses_core::explain_step_ir();
-        assert!(
-            ir.len() > 50,
-            "a real explain step is a substantial tape: {} nodes",
-            ir.len()
-        );
-        let diags = verify_tape(
-            &ir,
-            &TapeCheckConfig {
-                loss: Some(loss),
-                leak_budget: Some(LeakBudget::zero()),
-            },
-        );
-        assert_eq!(
-            error_count(&diags),
-            0,
-            "core trace must be clean: {diags:?}"
-        );
+        // leaves (encoder + mask generator) from the Eq. 9 loss — for the
+        // dense Eq. 3 recording and for the support-path one.
+        let traces = ses_core::explain_step_irs();
+        let names: Vec<&str> = traces.iter().map(|(name, _, _)| *name).collect();
+        assert_eq!(names, ["dense", "support"]);
+        for (name, ir, loss) in traces {
+            assert!(
+                ir.len() > 50,
+                "{name}: a real explain step is a substantial tape: {} nodes",
+                ir.len()
+            );
+            let gates = ir.nodes.iter().filter(|n| n.op == "feature_gate").count();
+            assert_eq!(
+                gates,
+                usize::from(name == "support"),
+                "{name}: feature_gate nodes"
+            );
+            let diags = verify_tape(
+                &ir,
+                &TapeCheckConfig {
+                    loss: Some(loss),
+                    leak_budget: Some(LeakBudget::zero()),
+                },
+            );
+            assert_eq!(
+                error_count(&diags),
+                0,
+                "{name}: core trace must be clean: {diags:?}"
+            );
+        }
     }
 
     #[test]

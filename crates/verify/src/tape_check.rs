@@ -60,8 +60,10 @@ pub fn op_determinism(op: &str) -> Option<DetClass> {
         "leaf" | "add" | "sub" | "mul" | "scale" | "add_scalar" | "mul_scalar_var"
         | "transpose" | "add_row_broadcast" | "mul_col_broadcast" | "sigmoid" | "relu"
         | "leaky_relu" | "elu" | "tanh" | "sqrt_eps" | "log_eps" | "exp" | "abs"
-        | "log_softmax_rows" | "nll_masked" | "gather_rows" | "pair_score" | "concat_cols"
-        | "concat_rows" | "sum_all" | "mean_all" | "row_sum" | "dropout" => Some(DetClass::Serial),
+        | "log_softmax_rows" | "nll_masked" | "gather_rows" | "pair_score" | "feature_gate"
+        | "concat_cols" | "concat_rows" | "sum_all" | "mean_all" | "row_sum" | "dropout" => {
+            Some(DetClass::Serial)
+        }
         _ => None,
     }
 }
@@ -239,6 +241,37 @@ pub fn infer_shape(
                 )),
                 _ => Ok((len, 1)),
             }
+        }
+        "feature_gate" => {
+            arity(3)?;
+            let IrMeta::Sparse { rows, cols, nnz } = *meta else {
+                return Err("`feature_gate` requires Sparse metadata".to_string());
+            };
+            let (m, w, bias) = (parents[0], parents[1], parents[2]);
+            if m.0 != rows {
+                return Err(format!(
+                    "`feature_gate` hidden rows {} must equal the sparse input's {rows} rows",
+                    m.0
+                ));
+            }
+            if w != (m.1, cols) {
+                return Err(format!(
+                    "`feature_gate` weight must be {}×{cols}, found {}×{}",
+                    m.1, w.0, w.1
+                ));
+            }
+            if bias != (1, cols) {
+                return Err(format!(
+                    "`feature_gate` bias must be 1×{cols}, found {}×{}",
+                    bias.0, bias.1
+                ));
+            }
+            if nnz > rows * cols {
+                return Err(format!(
+                    "`feature_gate` support of {nnz} entries exceeds the {rows}×{cols} input"
+                ));
+            }
+            Ok((rows, cols))
         }
         "nll_masked" => {
             arity(1)?;
@@ -654,6 +687,32 @@ mod tests {
         assert!(infer_shape("pair_score", &[(4, 4), (12, 1), (1, 1)], &meta).is_err());
         assert!(infer_shape("pair_score", &[(5, 4), (12, 1), (1, 1)], &IrMeta::None).is_err());
         assert_eq!(op_determinism("pair_score"), Some(DetClass::Serial));
+    }
+
+    #[test]
+    fn infer_shape_checks_feature_gate_operands() {
+        let meta = IrMeta::Sparse {
+            rows: 6,
+            cols: 9,
+            nnz: 11,
+        };
+        let ok = [(6, 4), (4, 9), (1, 9)];
+        assert_eq!(infer_shape("feature_gate", &ok, &meta), Ok((6, 9)));
+        // hidden rows, weight, bias each wrong in turn
+        assert!(infer_shape("feature_gate", &[(5, 4), (4, 9), (1, 9)], &meta).is_err());
+        assert!(infer_shape("feature_gate", &[(6, 4), (3, 9), (1, 9)], &meta).is_err());
+        assert!(infer_shape("feature_gate", &[(6, 4), (4, 8), (1, 9)], &meta).is_err());
+        assert!(infer_shape("feature_gate", &[(6, 4), (4, 9), (9, 1)], &meta).is_err());
+        // a support larger than the input, missing metadata, wrong arity
+        let overfull = IrMeta::Sparse {
+            rows: 6,
+            cols: 9,
+            nnz: 55,
+        };
+        assert!(infer_shape("feature_gate", &ok, &overfull).is_err());
+        assert!(infer_shape("feature_gate", &ok, &IrMeta::None).is_err());
+        assert!(infer_shape("feature_gate", &ok[..2], &meta).is_err());
+        assert_eq!(op_determinism("feature_gate"), Some(DetClass::Serial));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use ses_tensor::{CsrStructure, LeakBudget, Matrix, Tape, TapeIr};
+use ses_tensor::{CsrMatrix, CsrStructure, LeakBudget, Matrix, Tape, TapeIr};
 use ses_verify::error_count;
 use ses_verify::tape_check::{verify_tape, TapeCheckConfig};
 
@@ -84,7 +84,14 @@ fn every_op_tape() -> (TapeIr, usize) {
         pair_w,
         pair_b,
     );
+    let gate_w = t.leaf(Matrix::from_vec(2, 3, vals(6, 0.4)));
+    let gate_b = t.leaf(Matrix::from_vec(1, 3, vec![0.2, -0.1, 0.0]));
+    let support = Arc::new(CsrStructure::from_edges(3, 3, &[(0, 2), (2, 0), (2, 1)]));
+    let x_sparse = Arc::new(CsrMatrix::new(support, vec![1.0, 0.5, -2.0]));
+    let gated = t.feature_gate(h, gate_w, gate_b, x_sparse);
+    let gated_sum = t.sum_all(gated);
     let pair_sum = t.sum_all(pairs);
+    let pair_sum = t.add(pair_sum, gated_sum);
     let modulated = t.mul_scalar_var(pair_sum, tall);
     let logp = t.log_softmax_rows(modulated);
     let nll = t.nll_masked(
@@ -99,7 +106,7 @@ fn every_op_tape() -> (TapeIr, usize) {
 #[test]
 fn every_op_name_is_recorded_and_verifies_clean() {
     let expected = op_names_in_source();
-    assert_eq!(expected.len(), 32, "Op::name arms: {expected:?}");
+    assert_eq!(expected.len(), 33, "Op::name arms: {expected:?}");
 
     let (ir, loss) = every_op_tape();
     let recorded: BTreeSet<&str> = ir.nodes.iter().map(|n| n.op.as_str()).collect();
