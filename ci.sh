@@ -7,8 +7,9 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets: tests, benches and examples are linted too.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo run -p ses-lint"
 cargo run -q -p ses-lint

@@ -142,11 +142,11 @@ pub const BENCH_CKPT_DIR_ENV: &str = "SES_BENCH_CKPT_DIR";
 
 /// Opt-in checkpoint/resume for the long-running bench binaries. When
 /// `SES_BENCH_CKPT_DIR` is set, the returned config persists rotated
-/// checkpoints under `<dir>/<tag>.ckpt` (newest `keep_last_n` kept, see
-/// [`ses_resilience::RecoveryPolicy::keep_last_n`]) and — if an earlier
-/// invocation already left checkpoints there — resumes from the newest one
-/// instead of retraining from scratch. With the variable unset this is the
-/// identity function, so default bench runs stay bit-identical.
+/// checkpoints under `<dir>/<tag>.ckpt` (the newest three are kept, see
+/// [`ses_resilience::RecoveryManager::record_checkpoint`]) and — if an
+/// earlier invocation already left checkpoints there — resumes from the
+/// newest one instead of retraining from scratch. With the variable unset
+/// this is the identity function, so default bench runs stay bit-identical.
 pub fn resumable(mut cfg: TrainConfig, tag: &str) -> TrainConfig {
     let dir = match std::env::var(BENCH_CKPT_DIR_ENV) {
         Ok(d) if !d.is_empty() => PathBuf::from(d),
@@ -177,9 +177,6 @@ pub fn resumable(mut cfg: TrainConfig, tag: &str) -> TrainConfig {
     }
     if cfg.recovery.checkpoint_every == 0 {
         cfg.recovery.checkpoint_every = 10;
-    }
-    if cfg.recovery.disk_every == 0 {
-        cfg.recovery.disk_every = 1;
     }
     cfg.recovery.checkpoint_path = Some(base);
     cfg
@@ -323,7 +320,6 @@ mod tests {
             "tag is sanitised into a safe file name"
         );
         assert!(cfg.recovery.checkpoint_every > 0);
-        assert!(cfg.recovery.keep_last_n > 0, "rotation stays on");
         assert!(cfg.resume_from.is_none(), "no prior checkpoint to resume");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -61,13 +61,14 @@ pub struct SesConfig {
     /// off samples uniformly from the k-hop complement (Algorithm 1's
     /// caption reads this way).
     pub label_filtered_negatives: bool,
-    /// Divergence detection / checkpoint / rollback policy for the enhanced
-    /// predictive learning phase. The default
-    /// ([`ses_resilience::RecoveryPolicy::disabled`]) keeps `fit` bit-exact
-    /// with its pre-resilience behaviour; see `docs/ROBUSTNESS.md`.
+    /// Divergence detection / checkpoint / rollback policy for both phases
+    /// of `fit`: explainable training (over the joint encoder and
+    /// mask-generator parameters) and enhanced predictive learning. The
+    /// default ([`ses_resilience::RecoveryPolicy::disabled`]) keeps `fit`
+    /// bit-exact with its pre-resilience behaviour; see
+    /// `docs/ROBUSTNESS.md`.
     pub recovery: ses_resilience::RecoveryPolicy,
-    /// Explicit fault to inject into the EPL phase (tests/drills). `None`
-    /// falls back to the ambient `SES_FAULT` environment spec.
+    /// Fault to inject into the EPL phase (tests). `None` injects nothing.
     pub fault: Option<ses_resilience::FaultSpec>,
     /// Ablation switches (all-on for full SES).
     pub variant: SesVariant,

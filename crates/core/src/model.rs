@@ -558,9 +558,7 @@ pub fn fit<E: Encoder>(
         let val_acc = accuracy(&pred, graph.labels(), eval_split(splits));
         et_val_curve.push(val_acc);
 
-        let epoch_ns = epoch_start.elapsed_ns();
-        ses_obs::metrics::TRAIN_EPOCH_NS.record(epoch_ns);
-        ses_obs::slo::global().observe("epoch", epoch_ns);
+        ses_obs::metrics::TRAIN_EPOCH_NS.record(epoch_start.elapsed_ns());
 
         if ses_obs::sink::active() {
             let (feat_mean, feat_sparsity) = match feature {
@@ -753,7 +751,6 @@ fn run_epl_phase<E: Encoder + ?Sized>(
         Some(lift_weights_const(
             &ctx.khop,
             &explanations.structure_weights,
-            &ctx.adj,
             &ctx.onehop_lift,
         ))
     } else {
@@ -761,7 +758,7 @@ fn run_epl_phase<E: Encoder + ?Sized>(
     };
 
     let mut manager = RecoveryManager::new(config.recovery.clone());
-    let fault_spec = config.fault.or_else(fault::from_env);
+    let fault_spec = config.fault;
     let mut fault_fired = false;
 
     let mut epoch = 0usize;
@@ -901,9 +898,7 @@ fn run_epl_phase<E: Encoder + ?Sized>(
             }
         }
 
-        let epoch_ns = epoch_start.elapsed_ns();
-        ses_obs::metrics::TRAIN_EPOCH_NS.record(epoch_ns);
-        ses_obs::slo::global().observe("epoch", epoch_ns);
+        ses_obs::metrics::TRAIN_EPOCH_NS.record(epoch_start.elapsed_ns());
 
         if ses_obs::sink::active() {
             let mut rec = ses_obs::Record::new("epoch")
@@ -1025,12 +1020,7 @@ fn extract_masks<E: Encoder>(
 }
 
 /// Constant lift of mask weights onto a view (no gradient needed).
-fn lift_weights_const(
-    khop: &CsrStructure,
-    weights: &[f32],
-    _view: &AdjView,
-    map: &Arc<Vec<usize>>,
-) -> Vec<f32> {
+fn lift_weights_const(khop: &CsrStructure, weights: &[f32], map: &Arc<Vec<usize>>) -> Vec<f32> {
     let nnz = khop.nnz();
     map.iter()
         .map(|&m| if m >= nnz { 1.0 } else { weights[m] })
@@ -1086,7 +1076,6 @@ fn masked_eval<E: Encoder>(
         Some(lift_weights_const(
             &ctx.khop,
             &explanations.structure_weights,
-            &ctx.adj,
             &ctx.onehop_lift,
         ))
     } else {

@@ -82,51 +82,6 @@ pub struct SyntheticDataset {
 /// GNNExplainer): base/tree nodes get class 0; motif nodes get role classes.
 const BASE_CLASS: usize = 0;
 
-/// Structural feature augmentation for the constant-feature benchmarks:
-/// appends normalised degree, mean neighbour degree and local clustering
-/// coefficient to each node's features. GNNExplainer's synthetic benchmarks
-/// carry no informative features — the label is purely structural — and a
-/// symmetric-normalised GCN sees almost none of that structure through
-/// constant inputs, so reproductions commonly add these descriptors.
-/// **Opt-in**: the benchmark datasets keep their paper-faithful constant
-/// features (explanations must come from structure); call this only for
-/// auxiliary studies where feature-driven shortcuts are acceptable.
-pub fn augment_structural_features(graph: &Graph) -> Matrix {
-    let n = graph.n_nodes();
-    let base = graph.features();
-    let max_deg = (0..n).map(|v| graph.degree(v)).max().unwrap_or(1).max(1) as f32;
-    let mut out = Matrix::zeros(n, base.cols() + 3);
-    for v in 0..n {
-        let row = out.row_mut(v);
-        row[..base.cols()].copy_from_slice(base.row(v));
-        let deg = graph.degree(v) as f32;
-        row[base.cols()] = deg / max_deg;
-        let nbrs = graph.neighbors(v);
-        let mean_nbr_deg = if nbrs.is_empty() {
-            0.0
-        } else {
-            nbrs.iter().map(|&u| graph.degree(u) as f32).sum::<f32>() / nbrs.len() as f32
-        };
-        row[base.cols() + 1] = mean_nbr_deg / max_deg;
-        // local clustering: closed triangles / possible pairs
-        let mut tri = 0usize;
-        for (i, &a) in nbrs.iter().enumerate() {
-            for &b in &nbrs[i + 1..] {
-                if graph.has_edge(a, b) {
-                    tri += 1;
-                }
-            }
-        }
-        let pairs = nbrs.len() * nbrs.len().saturating_sub(1) / 2;
-        row[base.cols() + 2] = if pairs > 0 {
-            tri as f32 / pairs as f32
-        } else {
-            0.0
-        };
-    }
-    out
-}
-
 /// **BAShapes**: a 300-node Barabási–Albert base graph with 80 five-node
 /// "house" motifs attached. Four classes: base (0), top-of-square (1),
 /// bottom-of-square (2), roof (3). Features are constant (structure must

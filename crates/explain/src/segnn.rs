@@ -11,7 +11,6 @@
 
 use ses_data::Splits;
 use ses_graph::Graph;
-use ses_tensor::Matrix;
 
 use crate::backbone::Backbone;
 use crate::traits::EdgeExplainer;
@@ -164,20 +163,6 @@ impl EdgeExplainer for Segnn<'_> {
     fn name(&self) -> &'static str {
         "SEGNN"
     }
-}
-
-/// A `Matrix` of pairwise similarities between `nodes` (diagnostics and the
-/// paper's memory-cost discussion — this is the quadratic object SEGNN
-/// materialises).
-pub fn similarity_matrix(segnn: &Segnn<'_>, nodes: &[usize]) -> Matrix {
-    let n = nodes.len();
-    let mut m = Matrix::zeros(n, n);
-    for (i, &u) in nodes.iter().enumerate() {
-        for (j, &v) in nodes.iter().enumerate() {
-            m[(i, j)] = segnn.similarity(u, v) as f32;
-        }
-    }
-    m
 }
 
 #[cfg(test)]

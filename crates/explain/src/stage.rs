@@ -3,8 +3,7 @@
 //! Every explained node is one *request*: a [`ses_obs::trace::request`]
 //! trace whose children are the pipeline stages (`extract` → `encode` →
 //! `mask` → `rank`). Each stage records into its log-linear latency
-//! histogram and is checked against the process [`ses_obs::slo`] policy,
-//! so the harness can report SLO-grade p50/p99 per stage after a run.
+//! histogram, so the harness can report p50/p99 per stage after a run.
 
 use crate::traits::EdgeExplainer;
 use ses_obs::hist::LogHistogram;
@@ -23,8 +22,8 @@ fn stage_histogram(name: &str) -> &'static LogHistogram {
     }
 }
 
-/// Runs one pipeline stage under its span, records its latency into the
-/// stage histogram and checks the SLO budget. `name` must be one of
+/// Runs one pipeline stage under its span and records its latency into the
+/// stage histogram. `name` must be one of
 /// [`STAGES`]; unknown names fall through to the `rank` histogram but keep
 /// their own span label.
 pub fn stage<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
@@ -36,25 +35,21 @@ pub fn stage<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
     };
     let sw = Stopwatch::start();
     let out = f();
-    let ns = sw.elapsed_ns();
-    stage_histogram(name).record(ns);
-    ses_obs::slo::global().observe(name, ns);
+    stage_histogram(name).record(sw.elapsed_ns());
     out
 }
 
 /// Explains one node as a traced request: opens a
 /// [`ses_obs::trace::request`] named `explain.request`, runs the explainer
-/// (whose stages appear as child spans), records the end-to-end latency
-/// into [`metrics::EXPLAIN_REQUEST_NS`] and checks the `request` SLO.
+/// (whose stages appear as child spans) and records the end-to-end latency
+/// into [`metrics::EXPLAIN_REQUEST_NS`].
 pub fn explain_node_traced(
     explainer: &mut dyn EdgeExplainer,
     node: usize,
 ) -> Vec<(usize, usize, f32)> {
     let req = ses_obs::trace::request("explain.request");
     let out = explainer.explain_node(node);
-    let ns = req.elapsed_ns();
-    metrics::EXPLAIN_REQUEST_NS.record(ns);
-    ses_obs::slo::global().observe("request", ns);
+    metrics::EXPLAIN_REQUEST_NS.record(req.elapsed_ns());
     out
 }
 

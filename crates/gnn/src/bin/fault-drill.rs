@@ -1,10 +1,10 @@
 //! `fault-drill` — CI harness proving every recovery path actually fires.
 //!
-//! Trains a small GCN on the PolBlogs stand-in under an ambient `SES_FAULT`
-//! spec (e.g. `SES_FAULT=nan-grad@3,seed=7`) and exits 0 only when the run
-//! both completes *and* the recovery counter matching the injected fault is
-//! non-zero — a run that "succeeds" without exercising the recovery path is
-//! a drill failure.
+//! Reads a `SES_FAULT` spec (e.g. `SES_FAULT=nan-grad@3,seed=7`), trains a
+//! small GCN on the PolBlogs stand-in with that fault in its
+//! `TrainConfig`, and exits 0 only when the run both completes *and* the
+//! recovery counter matching the injected fault is non-zero — a run that
+//! "succeeds" without exercising the recovery path is a drill failure.
 //!
 //! With `SES_RECOVERY=off` the drill inverts: the retry budget drops to
 //! zero, checkpoint writes become strict, and kernel panic isolation is
@@ -62,6 +62,7 @@ fn main() {
             checkpoint_path: Some(ckpt_path.clone()),
             ..recovery
         },
+        fault,
         ..Default::default()
     };
 

@@ -60,8 +60,7 @@ pub struct TrainConfig {
     /// ([`RecoveryPolicy::disabled`]) keeps the loop bit-identical to the
     /// pre-resilience behaviour.
     pub recovery: RecoveryPolicy,
-    /// Explicit fault to inject (tests/drills). `None` falls back to the
-    /// ambient `SES_FAULT` environment spec.
+    /// Fault to inject (tests and `fault-drill`). `None` injects nothing.
     pub fault: Option<FaultSpec>,
     /// Resume from a checkpoint written by an earlier run. Restores
     /// parameters, Adam state, LR, and the training RNG, then continues at
@@ -251,7 +250,7 @@ pub fn train_node_classifier(
     let train_idx = Arc::new(splits.train.clone());
 
     let mut manager = RecoveryManager::new(config.recovery.clone());
-    let fault_spec = config.fault.or_else(fault::from_env);
+    let fault_spec = config.fault;
     let mut fault_fired = false;
 
     let mut epoch = 0usize;
@@ -405,9 +404,7 @@ pub fn train_node_classifier(
         loss_curve.push(loss_val);
         val_curve.push(val_acc);
 
-        let epoch_ns = epoch_start.elapsed_ns();
-        ses_obs::metrics::TRAIN_EPOCH_NS.record(epoch_ns);
-        ses_obs::slo::global().observe("epoch", epoch_ns);
+        ses_obs::metrics::TRAIN_EPOCH_NS.record(epoch_start.elapsed_ns());
 
         if ses_obs::sink::active() {
             ses_obs::Record::new("epoch")
@@ -870,7 +867,6 @@ mod tests {
                 detect: false,
                 checkpoint_every: 1,
                 checkpoint_path: Some(path.clone()),
-                disk_every: 1,
                 ..RecoveryPolicy::disabled()
             },
             ..Default::default()

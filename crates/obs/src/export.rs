@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn prom_names_are_sanitised() {
         assert_eq!(prom_name("kernel.spmm.calls"), "ses_kernel_spmm_calls");
-        assert_eq!(prom_name("slo.breach.extract"), "ses_slo_breach_extract");
+        assert_eq!(prom_name("serve.cache.hit"), "ses_serve_cache_hit");
     }
 
     #[test]

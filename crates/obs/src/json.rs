@@ -51,13 +51,6 @@ impl Json {
             _ => None,
         }
     }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {

@@ -31,8 +31,6 @@
 //!   reconstructing one tree per request.
 //! * [`hist`] — log-linear (HDR-style) latency histograms with
 //!   p50/p90/p99/p99.9 estimation at a documented relative-error bound.
-//! * [`slo`] — per-stage latency budgets (`SES_SLO`) with `slo.breach.*`
-//!   accounting.
 //! * [`export`] — Prometheus text-format snapshots (`SES_OBS_PROM_FILE`)
 //!   and Chrome trace-event JSON (`SES_OBS_CHROME`).
 //! * [`analyze`] — JSONL telemetry analysis (top spans, trends, run
@@ -59,7 +57,6 @@ pub mod log;
 pub mod metrics;
 pub mod record;
 pub mod sink;
-pub mod slo;
 pub mod spans;
 pub mod summary;
 pub(crate) mod sync;
@@ -69,7 +66,6 @@ pub mod trace;
 pub use hist::{HistSnapshot, LogHistogram};
 pub use metrics::{Counter, Gauge};
 pub use record::Record;
-pub use slo::SloPolicy;
 pub use spans::{SpanGuard, SpanStat};
 pub use summary::{print_summary, summary_string};
 pub use time::Stopwatch;

@@ -176,7 +176,7 @@ pub static TRAIN_RECOVER_MASK_PHASE: Counter = Counter::new("trainer.recover.mas
 
 /// Rotated checkpoint files skipped by `latest_checkpoint` because they
 /// failed validation (truncated, bit-flipped, bad magic); resume fell back
-/// to the next-newest `keep_last_n` copy.
+/// to the next-newest rotation copy.
 pub static TRAIN_RECOVER_CORRUPT_CKPT_SKIPPED: Counter =
     Counter::new("trainer.recover.corrupt_ckpt_skipped");
 
@@ -219,21 +219,6 @@ pub static TRACE_SPANS: Counter = Counter::new("trace.spans");
 /// Trace events discarded because the bounded event buffer was full.
 pub static TRACE_DROPPED: Counter = Counter::new("trace.dropped");
 
-/// SLO budget breaches per explain stage / phase (see `ses_obs::slo`).
-pub static SLO_BREACH_EXTRACT: Counter = Counter::new("slo.breach.extract");
-/// See [`SLO_BREACH_EXTRACT`].
-pub static SLO_BREACH_ENCODE: Counter = Counter::new("slo.breach.encode");
-/// See [`SLO_BREACH_EXTRACT`].
-pub static SLO_BREACH_MASK: Counter = Counter::new("slo.breach.mask");
-/// See [`SLO_BREACH_EXTRACT`].
-pub static SLO_BREACH_RANK: Counter = Counter::new("slo.breach.rank");
-/// See [`SLO_BREACH_EXTRACT`].
-pub static SLO_BREACH_EPOCH: Counter = Counter::new("slo.breach.epoch");
-/// See [`SLO_BREACH_EXTRACT`].
-pub static SLO_BREACH_REQUEST: Counter = Counter::new("slo.breach.request");
-/// Breaches against budgets whose stage has no dedicated counter.
-pub static SLO_BREACH_OTHER: Counter = Counter::new("slo.breach.other");
-
 // -- SLO-grade latency distributions (log-linear; see `ses_obs::hist`) ------
 
 /// Extract stage (ego-subgraph assembly) latency per explain request.
@@ -251,7 +236,7 @@ pub static TRAIN_EPOCH_NS: LogHistogram = LogHistogram::new("trainer.epoch_ns");
 /// End-to-end serving-request latency (admission to response, all tiers).
 pub static SERVE_REQUEST_NS: LogHistogram = LogHistogram::new("serve.request_ns");
 
-static ALL_COUNTERS: [&Counter; 53] = [
+static ALL_COUNTERS: [&Counter; 46] = [
     &TAPE_NODES,
     &TAPE_BACKWARDS,
     &SPMM_CALLS,
@@ -283,13 +268,6 @@ static ALL_COUNTERS: [&Counter; 53] = [
     &TRACE_REQUESTS,
     &TRACE_SPANS,
     &TRACE_DROPPED,
-    &SLO_BREACH_EXTRACT,
-    &SLO_BREACH_ENCODE,
-    &SLO_BREACH_MASK,
-    &SLO_BREACH_RANK,
-    &SLO_BREACH_EPOCH,
-    &SLO_BREACH_REQUEST,
-    &SLO_BREACH_OTHER,
     &TRAIN_RECOVER_CORRUPT_CKPT_SKIPPED,
     &SERVE_ADMITTED,
     &SERVE_SHED,

@@ -2,7 +2,7 @@
 //!
 //! The `no-raw-instant-in-lib` lint rule bans ad-hoc `std::time::Instant`
 //! in library runtime paths: timing that matters should flow through
-//! `ses-obs` so it is visible to spans, histograms and SLO policies. This
+//! `ses-obs` so it is visible to spans and histograms. This
 //! `Stopwatch` is the escape hatch for durations that feed telemetry
 //! *values* (epoch records, latency histograms) rather than span trees —
 //! one audited wrapper instead of scattered `Instant::now()` pairs.

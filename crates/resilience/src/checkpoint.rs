@@ -345,7 +345,7 @@ pub fn rotated_checkpoints(base: &Path) -> Vec<(u64, PathBuf)> {
 /// read and checksum-validated before being offered. A corrupt or truncated
 /// entry (torn disk write, bit rot) is skipped with a
 /// `trainer.recover.corrupt_ckpt_skipped` count and a one-line warning —
-/// resume falls back to the next-newest `keep_last_n` copy instead of
+/// resume falls back to the next-newest rotation copy instead of
 /// hard-erroring on a file that can never load. Returns `None` when no
 /// candidate validates. This is the resume entry point — callers pass it
 /// straight to [`TrainCheckpoint::read_from`] (or a trainer's
@@ -522,6 +522,8 @@ mod tests {
         c2.write_atomic(&path, false).expect("overwrite");
         let back = TrainCheckpoint::read_from(&path).expect("read");
         assert_eq!(back, c2);
+        // With no rotation copies beside it, the base path is the resume point.
+        assert_eq!(latest_checkpoint(&path), Some(path.clone()));
         std::fs::remove_file(&path).ok();
     }
 

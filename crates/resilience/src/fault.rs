@@ -19,9 +19,11 @@
 //!
 //! e.g. `SES_FAULT=nan-grad@3,seed=7` or `SES_FAULT=slow-stage@encode`. The
 //! harness is test/drill infrastructure: nothing fires unless a spec is
-//! explicitly configured (or exported in the environment). Training loops
-//! consult the spec exactly once per epoch; the serving runtime consults it
-//! per request/stage, so a given run sees the fault deterministically.
+//! passed in a config (`TrainConfig::fault`, `SesConfig::fault`,
+//! `ServeConfig::fault`). Only the drill binaries read the environment,
+//! through [`from_env`]. Training loops consult the spec exactly once per
+//! epoch; the serving runtime consults it per request/stage, so a given run
+//! sees the fault deterministically.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -244,7 +246,9 @@ impl fmt::Display for FaultSpec {
     }
 }
 
-/// The ambient `SES_FAULT` spec, read once per process.
+/// The ambient `SES_FAULT` spec, read once per process. The drill binaries
+/// (`fault-drill`, `serve-drill`) call it and pass the result in their
+/// config; the libraries never read the environment themselves.
 ///
 /// # Panics
 /// Panics on a malformed `SES_FAULT` value: a mistyped fault drill must die

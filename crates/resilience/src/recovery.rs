@@ -55,6 +55,17 @@ impl fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
+/// Multiplier applied to the checkpointed LR per rollback
+/// (`lr × LR_BACKOFF^retries`).
+const LR_BACKOFF: f32 = 0.5;
+/// A loss more than `SPIKE_FACTOR ×` the recent median counts as divergence.
+const SPIKE_FACTOR: f32 = 10.0;
+/// Epoch-stamped rotation copies of the on-disk checkpoint kept next to
+/// `checkpoint_path` (`train.ckpt.e00000004`, …). The base path always holds
+/// the newest snapshot; rotation preserves a short history so one corrupted
+/// write cannot destroy the only resume point.
+const KEEP_LAST_N: usize = 3;
+
 /// Tunable recovery behaviour for a training run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
@@ -64,32 +75,17 @@ pub struct RecoveryPolicy {
     pub detect: bool,
     /// How many rollbacks a run may spend before giving up.
     pub max_retries: u32,
-    /// Multiplier applied to the checkpointed LR per rollback
-    /// (`lr × backoff^retries`).
-    pub lr_backoff: f32,
-    /// A loss more than `spike_factor ×` the recent median counts as
-    /// divergence.
-    pub spike_factor: f32,
     /// How many recent healthy losses the spike median looks at.
     pub spike_window: usize,
     /// Take an in-memory checkpoint every N epochs (0 disables
     /// checkpointing entirely).
     pub checkpoint_every: usize,
-    /// Where to persist checkpoints; `None` keeps them in memory only.
+    /// Where to persist checkpoints (every one taken); `None` keeps them in
+    /// memory only.
     pub checkpoint_path: Option<PathBuf>,
-    /// Write every Nth in-memory checkpoint to `checkpoint_path`
-    /// (1 = every one).
-    pub disk_every: usize,
     /// When `true`, a failed checkpoint *write* aborts training instead of
     /// degrading to in-memory-only.
     pub strict_checkpoints: bool,
-    /// How many epoch-stamped rotation copies of the on-disk checkpoint to
-    /// keep next to `checkpoint_path` (`train.ckpt.e00000004`, …). The base
-    /// path always holds the newest snapshot; rotation preserves a short
-    /// history so one corrupted write cannot destroy the only resume point.
-    /// `0` disables rotation entirely (the pre-rotation single-file
-    /// behaviour).
-    pub keep_last_n: usize,
 }
 
 impl RecoveryPolicy {
@@ -98,14 +94,10 @@ impl RecoveryPolicy {
         Self {
             detect: false,
             max_retries: 0,
-            lr_backoff: 0.5,
-            spike_factor: 10.0,
             spike_window: 8,
             checkpoint_every: 0,
             checkpoint_path: None,
-            disk_every: 1,
             strict_checkpoints: false,
-            keep_last_n: 3,
         }
     }
 
@@ -115,14 +107,10 @@ impl RecoveryPolicy {
         Self {
             detect: true,
             max_retries: 3,
-            lr_backoff: 0.5,
-            spike_factor: 10.0,
             spike_window: 8,
             checkpoint_every: 1,
             checkpoint_path: None,
-            disk_every: 1,
             strict_checkpoints: false,
-            keep_last_n: 3,
         }
     }
 }
@@ -196,8 +184,7 @@ impl RecoveryManager {
             Verdict::Diverged("non-finite gradient".to_string())
         } else if self.is_spike(loss) {
             Verdict::Diverged(format!(
-                "loss spike: {loss} > {} × recent median",
-                self.policy.spike_factor
+                "loss spike: {loss} > {SPIKE_FACTOR} × recent median"
             ))
         } else {
             Verdict::Healthy
@@ -224,31 +211,25 @@ impl RecoveryManager {
         let mut sorted: Vec<f32> = self.recent.iter().copied().collect();
         sorted.sort_by(f32::total_cmp);
         let median = sorted[sorted.len() / 2].max(1e-6);
-        loss > self.policy.spike_factor * median
+        loss > SPIKE_FACTOR * median
     }
 
     /// Records a good checkpoint: always kept in memory, and persisted to
-    /// `checkpoint_path` per `disk_every`. An IO failure (including the
+    /// `checkpoint_path` when one is set. An IO failure (including the
     /// injected `ckpt-io` fault) degrades to in-memory-only under the
     /// default tolerant policy, or aborts under `strict_checkpoints`. A
     /// successful write is then rotated: an epoch-stamped copy lands next to
-    /// the base path and stamped copies beyond `keep_last_n` are pruned.
+    /// the base path and stamped copies beyond the newest three
+    /// (`KEEP_LAST_N`) are pruned.
     pub fn record_checkpoint(
         &mut self,
         ckpt: TrainCheckpoint,
         inject_io_fault: bool,
     ) -> Result<(), CheckpointError> {
         ses_obs::metrics::TRAIN_RECOVER_CHECKPOINTS.incr();
-        let disk_path = self.policy.checkpoint_path.as_ref().filter(|_| {
-            self.policy.disk_every != 0 && ckpt.epoch.is_multiple_of(self.policy.disk_every as u64)
-        });
-        if let Some(path) = disk_path {
+        if let Some(path) = &self.policy.checkpoint_path {
             match ckpt.write_atomic(path, inject_io_fault) {
-                Ok(()) => {
-                    if self.policy.keep_last_n > 0 {
-                        rotate_checkpoints(path, ckpt.epoch, self.policy.keep_last_n);
-                    }
-                }
+                Ok(()) => rotate_checkpoints(path, ckpt.epoch),
                 Err(e) => {
                     ses_obs::metrics::TRAIN_RECOVER_CKPT_IO_ERRORS.incr();
                     if self.policy.strict_checkpoints {
@@ -291,7 +272,7 @@ impl RecoveryManager {
             RecoveryError::Restore(e)
         })?;
         self.retries_used += 1;
-        let new_lr = ckpt.lr * self.policy.lr_backoff.powi(self.retries_used as i32);
+        let new_lr = ckpt.lr * LR_BACKOFF.powi(self.retries_used as i32);
         opt.set_learning_rate(new_lr);
         self.recent.clear();
         ses_obs::metrics::TRAIN_RECOVER_ROLLBACKS.incr();
@@ -307,10 +288,10 @@ impl RecoveryManager {
 
 /// Best-effort rotation after a successful base-path write: stamp the fresh
 /// file with its epoch (hard link where the filesystem allows, byte copy
-/// otherwise) and prune stamped copies beyond `keep_last_n`. Rotation
-/// failures are logged, never fatal — the base checkpoint already landed,
-/// which is the part correctness depends on.
-fn rotate_checkpoints(base: &std::path::Path, epoch: u64, keep_last_n: usize) {
+/// otherwise) and prune stamped copies beyond the newest [`KEEP_LAST_N`].
+/// Rotation failures are logged, never fatal — the base checkpoint already
+/// landed, which is the part correctness depends on.
+fn rotate_checkpoints(base: &std::path::Path, epoch: u64) {
     let stamped = crate::checkpoint::rotated_path(base, epoch);
     // A leftover from a rolled-back run may occupy this epoch's name;
     // hard_link refuses to overwrite, so clear it first.
@@ -325,8 +306,8 @@ fn rotate_checkpoints(base: &std::path::Path, epoch: u64, keep_last_n: usize) {
         return;
     }
     let mut stamped_all = crate::checkpoint::rotated_checkpoints(base);
-    if stamped_all.len() > keep_last_n {
-        let cut = stamped_all.len() - keep_last_n;
+    if stamped_all.len() > KEEP_LAST_N {
+        let cut = stamped_all.len() - KEEP_LAST_N;
         for (_, old) in stamped_all.drain(..cut) {
             std::fs::remove_file(&old).ok();
         }
@@ -484,7 +465,6 @@ mod tests {
         let mut p = Param::new(Matrix::zeros(1, 1));
         let mut m = RecoveryManager::new(RecoveryPolicy {
             checkpoint_path: Some(base.clone()),
-            keep_last_n: 3,
             ..RecoveryPolicy::standard()
         });
 
@@ -508,37 +488,6 @@ mod tests {
         assert_eq!(back.epoch, 5);
         // The base file and the newest stamped copy are the same snapshot.
         assert_eq!(back, TrainCheckpoint::read_from(&base).expect("base"));
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn keep_last_n_zero_disables_rotation() {
-        use crate::checkpoint::{latest_checkpoint, rotated_checkpoints};
-
-        let dir = std::env::temp_dir().join("ses-resilience-test-no-rotation");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let base = dir.join("train.ckpt");
-
-        let opt = Adam::new(0.01);
-        let rng = StdRng::seed_from_u64(1);
-        let mut p = Param::new(Matrix::zeros(1, 1));
-        let mut m = RecoveryManager::new(RecoveryPolicy {
-            checkpoint_path: Some(base.clone()),
-            keep_last_n: 0,
-            ..RecoveryPolicy::standard()
-        });
-        for epoch in 0..3u64 {
-            let ckpt = {
-                let mut refs = vec![&mut p];
-                TrainCheckpoint::capture(epoch, &opt, &rng, &refs.as_mut_slice()[..])
-            };
-            m.record_checkpoint(ckpt, false).expect("record");
-        }
-        assert!(rotated_checkpoints(&base).is_empty());
-        // With no stamped copies, the base path itself is the resume point.
-        assert_eq!(latest_checkpoint(&base), Some(base.clone()));
 
         std::fs::remove_dir_all(&dir).ok();
     }

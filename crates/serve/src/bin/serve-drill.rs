@@ -1,8 +1,8 @@
 //! `serve-drill` — CI harness proving every serving safety net actually
 //! fires.
 //!
-//! Builds a synthetic serving artifact over the PolBlogs stand-in, attaches
-//! checkpoint provenance, then serves a scripted request sequence under an
+//! Fits a small seeded SES(GCN) model on the Cora stand-in, freezes it into
+//! a serving artifact, then serves a scripted request sequence under an
 //! ambient serve-path `SES_FAULT` spec (`slow-stage@<stage>`,
 //! `panic@request-<n>`, `cache-poison`). Exit 0 requires that every request
 //! completes (possibly degraded), that at least one request shed under the
@@ -18,7 +18,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ses_data::{realworld, Profile};
+use ses_core::{fit, MaskGenerator, SesConfig};
+use ses_data::{realworld, Profile, Splits};
+use ses_gnn::{Encoder, Gcn};
 use ses_resilience::FaultKind;
 use ses_serve::{ModelArtifact, ServeConfig, Server};
 
@@ -40,34 +42,25 @@ fn main() {
         }
     }
 
+    // The drill needs a real fitted artifact, not a good model, so the
+    // schedule is cut to a few dozen epochs.
     let mut rng = StdRng::seed_from_u64(41);
-    let d = realworld::polblogs_like(Profile::Fast, &mut rng);
-    let mut artifact = ModelArtifact::synthetic(d.graph, 2, 17);
-
-    // Provenance: write a checkpoint and restore it through the
-    // corruption-hardened resolver.
-    let ckpt_base =
-        std::env::temp_dir().join(format!("ses-serve-drill-{}.ckpt", std::process::id()));
-    let ckpt = ses_resilience::TrainCheckpoint {
-        epoch: 3,
-        adam_steps: 9,
-        lr: 0.01,
-        rng_state: [41, 0, 0, 0],
-        params: Vec::new(),
+    let graph = realworld::cora_like(Profile::Fast, &mut rng).graph;
+    let splits = Splits::classification(graph.n_nodes(), &mut rng);
+    let encoder = Gcn::new(graph.n_features(), 16, graph.n_classes(), &mut rng);
+    let mask_gen = MaskGenerator::new(encoder.hidden_dim(), graph.n_features(), &mut rng);
+    let config = SesConfig {
+        seed: 41,
+        epochs_explain: 30,
+        epochs_epl: 5,
+        ..SesConfig::default()
     };
-    let rotated = ses_resilience::rotated_path(&ckpt_base, 3);
-    if let Err(e) = ckpt.write_atomic(&rotated, false) {
-        eprintln!("serve-drill: checkpoint write failed: {e}");
-        std::process::exit(1);
-    }
-    match artifact.attach_checkpoint(&ckpt_base) {
-        Ok(epoch) => eprintln!("serve-drill: serving checkpoint epoch {epoch}"),
-        Err(e) => {
-            eprintln!("serve-drill: checkpoint attach failed: {e}");
-            std::process::exit(1);
-        }
-    }
-    let _ = std::fs::remove_file(&rotated);
+    let trained = fit(encoder, mask_gen, &graph, &splits, &config);
+    eprintln!(
+        "serve-drill: serving a fitted SES(GCN) model (test acc {:.3})",
+        trained.report.test_acc
+    );
+    let artifact = ModelArtifact::from_parts(graph, trained.predictions, trained.explanations, 2);
 
     let n_nodes = artifact.graph.n_nodes();
     let server = Server::new(

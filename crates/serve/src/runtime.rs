@@ -247,9 +247,7 @@ impl Server {
         let trace = ses_obs::trace::request("serve.request");
         let deadline = Deadline::start(req.deadline_ns);
         let result = self.process_inner(&req, &deadline);
-        let ns = trace.elapsed_ns();
-        metrics::SERVE_REQUEST_NS.record(ns);
-        ses_obs::slo::global().observe("serve", ns);
+        metrics::SERVE_REQUEST_NS.record(trace.elapsed_ns());
         match &result {
             Ok(_) => metrics::SERVE_COMPLETED.incr(),
             Err(_) => metrics::SERVE_FAILED.incr(),
@@ -436,6 +434,8 @@ mod tests {
     use ses_graph::Graph;
     use ses_tensor::Matrix;
 
+    /// Two triangles joined by one edge, served with fixed masks (structure
+    /// weights spread over 0.1–0.9) and the labels as predictions.
     fn small_server(cfg: ServeConfig) -> Server {
         let graph = Graph::new(
             6,
@@ -443,7 +443,17 @@ mod tests {
             Matrix::from_vec(6, 2, (0..12).map(|i| i as f32 * 0.1).collect()),
             vec![0, 0, 0, 1, 1, 1],
         );
-        Server::new(ModelArtifact::synthetic(graph, 2, 7), cfg)
+        let khop = ses_graph::khop_structure(&graph, 2);
+        let explanations = ses_core::Explanations {
+            feature_mask: Matrix::full(6, 2, 0.5),
+            structure_weights: (0..khop.nnz()).map(|p| (p % 9 + 1) as f32 / 10.0).collect(),
+            khop,
+        };
+        let predictions = graph.labels().to_vec();
+        Server::new(
+            ModelArtifact::from_parts(graph, predictions, explanations, 2),
+            cfg,
+        )
     }
 
     #[test]

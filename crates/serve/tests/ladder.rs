@@ -8,6 +8,8 @@ use ses_obs::metrics;
 use ses_resilience::FaultSpec;
 use ses_serve::{ModelArtifact, ServeConfig, ServeError, Server, Tier};
 
+/// Two triangles joined by one edge, served with fixed masks (structure
+/// weights spread over 0.1–0.9) and the labels as predictions.
 fn two_triangle_server(cfg: ServeConfig) -> Server {
     let graph = ses_graph::Graph::new(
         6,
@@ -15,7 +17,17 @@ fn two_triangle_server(cfg: ServeConfig) -> Server {
         ses_tensor::Matrix::from_vec(6, 2, (0..12).map(|i| i as f32 * 0.1).collect()),
         vec![0, 0, 0, 1, 1, 1],
     );
-    Server::new(ModelArtifact::synthetic(graph, 2, 11), cfg)
+    let khop = ses_graph::khop_structure(&graph, 2);
+    let explanations = ses_core::Explanations {
+        feature_mask: ses_tensor::Matrix::full(6, 2, 0.5),
+        structure_weights: (0..khop.nnz()).map(|p| (p % 9 + 1) as f32 / 10.0).collect(),
+        khop,
+    };
+    let predictions = graph.labels().to_vec();
+    Server::new(
+        ModelArtifact::from_parts(graph, predictions, explanations, 2),
+        cfg,
+    )
 }
 
 #[test]

@@ -330,8 +330,7 @@ fn dense_points(
 /// section. Runs with dispatch bypassed so the sub-crossover parallel
 /// region is actually measured instead of being clamped to serial. On
 /// single-core hardware parallel cannot win by construction, so the
-/// compiled-in table is kept (and still persisted, for
-/// `SES_CROSSOVER_FILE` consumers).
+/// compiled-in table is kept (and still recorded in the report).
 fn calibrate_crossovers(
     quick: bool,
     hardware_threads: usize,
@@ -755,10 +754,8 @@ fn gate_tracing_overhead(entries: &[Entry]) -> bool {
     }
 }
 
-/// Renders the JSON report. One entry per line so the baseline gate (and
-/// `ses_tensor::par::dispatch::load_from_json`, which reads the
-/// `"crossover"` section via `SES_CROSSOVER_FILE`) can parse it back
-/// without a JSON dependency.
+/// Renders the JSON report. One entry per line so the baseline gate can
+/// parse it back without a JSON dependency.
 fn render_report(
     quick: bool,
     hardware_threads: usize,

@@ -15,17 +15,13 @@
 //! * the compiled-in defaults are **calibrated at bench time**: the bench
 //!   suite measures raw serial vs raw parallel per kernel per size (with
 //!   [`set_bypass`] so the clamp doesn't hide the losing region), derives
-//!   the crossover, and persists it into `BENCH_kernels.json` under a
-//!   `crossover` section;
-//! * a persisted table can be loaded at runtime by pointing
-//!   `SES_CROSSOVER_FILE` at a `BENCH_kernels.json`, or installed
-//!   programmatically with [`set_crossover`].
+//!   the crossover, installs it with [`set_crossover`], and records it in
+//!   `BENCH_kernels.json` under a `crossover` section.
 //!
 //! Bit-identity at any thread count makes all of this pure scheduling: the
 //! dispatch decision can never change a result, only its latency.
 
 use std::sync::atomic::Ordering;
-use std::sync::OnceLock;
 
 use crate::sync::{AtomicBool, AtomicUsize};
 
@@ -33,8 +29,8 @@ use crate::sync::{AtomicBool, AtomicUsize};
 /// runs at the caller's thread count, below it the clamp forces serial.
 /// Defaults calibrated by `cargo bench -p ses-tensor --bench kernels` on the
 /// reference 4-core container (see BENCH_kernels.json `crossover` section);
-/// a run on different hardware can recalibrate and load its own table via
-/// `SES_CROSSOVER_FILE`.
+/// the bench recalibrates on the hardware it runs on and installs its own
+/// table with [`set_crossover`] for the rest of its run.
 static TABLE: [(&str, AtomicUsize); 8] = [
     // Sparse family: work = stored entries (nnz).
     ("spmm", AtomicUsize::new(12_288)),
@@ -96,7 +92,6 @@ pub fn set_crossover(kernel: &str, work: usize) {
 /// `work`: 1 below the kernel's crossover, the caller's `threads` at or
 /// above it. This is what replaced `par::size_aware_threads`.
 pub fn threads_for(kernel: &str, work: usize, threads: usize) -> usize {
-    ensure_env_table_loaded();
     // ordering: standalone calibration flag; no data guarded
     if BYPASS.load(Ordering::Relaxed) {
         return threads;
@@ -106,59 +101,6 @@ pub fn threads_for(kernel: &str, work: usize, threads: usize) -> usize {
     } else {
         threads
     }
-}
-
-/// Loads a persisted crossover table from `SES_CROSSOVER_FILE` (a
-/// `BENCH_kernels.json` with a `crossover` section) exactly once per
-/// process. Unreadable files and unknown kernels are skipped — a stale
-/// table must never break dispatch, only leave the defaults in place.
-fn ensure_env_table_loaded() {
-    static LOADED: OnceLock<()> = OnceLock::new();
-    LOADED.get_or_init(|| {
-        let Ok(path) = std::env::var("SES_CROSSOVER_FILE") else {
-            return;
-        };
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            ses_obs::info!("ses-tensor: SES_CROSSOVER_FILE `{path}` unreadable; using defaults");
-            return;
-        };
-        let applied = load_from_json(&text);
-        ses_obs::info!("ses-tensor: loaded {applied} crossover entries from `{path}`");
-    });
-}
-
-/// Applies every `crossover_work` entry found in a BENCH_kernels.json text;
-/// returns how many were applied. Line-oriented (the bench writer emits one
-/// entry per line); tolerant of anything it doesn't recognise.
-pub fn load_from_json(text: &str) -> usize {
-    let mut applied = 0;
-    for line in text.lines() {
-        let Some(work) = json_field(line, "crossover_work").and_then(|v| v.parse::<usize>().ok())
-        else {
-            continue;
-        };
-        let Some(kernel) = json_field(line, "kernel") else {
-            continue;
-        };
-        if let Some(s) = slot(&kernel) {
-            s.store(work, Ordering::Relaxed); // ordering: standalone threshold value; no data guarded
-            applied += 1;
-        }
-    }
-    applied
-}
-
-/// Extracts the value of `"key": <value>` from a single JSON line, with or
-/// without quotes around the value. Mirrors the bench suite's parser — the
-/// workspace is offline, so no JSON dependency exists to share.
-fn json_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = line[at..].trim_start();
-    let rest = rest.strip_prefix('"').unwrap_or(rest);
-    let end = rest.find(['"', ',', '}']).unwrap_or(rest.len());
-    let v = rest[..end].trim();
-    (!v.is_empty()).then(|| v.to_string())
 }
 
 #[cfg(test)]
@@ -201,19 +143,5 @@ mod tests {
     #[should_panic(expected = "unknown kernel")]
     fn unknown_kernel_panics() {
         crossover("not-a-kernel");
-    }
-
-    #[test]
-    fn json_table_round_trips() {
-        let before = crossover("t_matmul");
-        let text = concat!(
-            "  {\"kernel\": \"t_matmul\", \"crossover_work\": 777, \"unit\": \"flops\"},\n",
-            "  {\"kernel\": \"spmm\", \"size\": \"ba_shapes\", \"threads\": 2, \"mean_ns\": 5},\n",
-            "  {\"kernel\": \"no-such-kernel\", \"crossover_work\": 1},\n",
-        );
-        let applied = load_from_json(text);
-        assert_eq!(applied, 1);
-        assert_eq!(crossover("t_matmul"), 777);
-        set_crossover("t_matmul", before);
     }
 }

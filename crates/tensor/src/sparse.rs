@@ -204,12 +204,6 @@ impl CsrMatrix {
         &self.values
     }
 
-    /// Mutable stored values.
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f32] {
-        &mut self.values
-    }
-
     /// Number of rows.
     #[inline]
     pub fn n_rows(&self) -> usize {
