@@ -102,6 +102,18 @@ for fault in "nan-grad@3,seed=7" "worker-panic@3,seed=7" "ckpt-io@3,seed=7"; do
   fi
 done
 
+echo "   -- a serve-path fault is refused before any training"
+# The rejection message is printed only by the up-front check, so finding
+# it proves the drill exited before its training run.
+if out=$(SES_FAULT="cache-poison" cargo run -q -p ses-gnn --bin fault-drill 2>&1); then
+  echo "ci: fault-drill accepted serve-path fault 'cache-poison'" >&2
+  exit 1
+fi
+grep -q "is a serve-path fault; use serve-drill" <<<"$out" || {
+  echo "ci: fault-drill did not refuse 'cache-poison' up front: $out" >&2
+  exit 1
+}
+
 echo "== serve drills (serve-path faults degrade gracefully; fatal with recovery off)"
 # Each serve-path fault must be absorbed by the runtime's nets under the
 # standard policy — the process stays up, every request completes (possibly
@@ -125,6 +137,17 @@ for fault in "slow-stage@encode" "panic@request-3" "cache-poison"; do
     exit 1
   fi
 done
+
+echo "   -- a training fault is refused before the fit"
+# As above: the message comes only from the check that precedes the fit.
+if out=$(SES_FAULT="nan-grad@3,seed=7" cargo run -q -p ses-serve --bin serve-drill 2>&1); then
+  echo "ci: serve-drill accepted training fault 'nan-grad@3,seed=7'" >&2
+  exit 1
+fi
+grep -q "is a training fault; use fault-drill" <<<"$out" || {
+  echo "ci: serve-drill did not refuse 'nan-grad@3,seed=7' up front: $out" >&2
+  exit 1
+}
 
 echo "== bench smoke (quick mode, regression gate)"
 # Absolute paths: cargo runs the bench binary from the package root.

@@ -717,6 +717,112 @@ pub fn run_epl<E: Encoder + ?Sized>(
     run_epl_phase(encoder, graph, &ctx, explanations, &pairs, config, &mut rng)
 }
 
+/// What every enhanced-predictive-learning step reads: the masked input
+/// and the structure mask lifted onto the 1-hop view (Eq. 10, per the
+/// variant flags), and Algorithm 1's triples, flattened.
+struct EplInputs {
+    masked_x: Matrix,
+    onehop_mask_values: Option<Vec<f32>>,
+    anchor: Arc<Vec<usize>>,
+    pos: Arc<Vec<usize>>,
+    neg: Arc<Vec<usize>>,
+}
+
+impl EplInputs {
+    fn build(
+        graph: &Graph,
+        ctx: &SesContext,
+        explanations: &Explanations,
+        pairs: &PairSets,
+        config: &SesConfig,
+    ) -> Self {
+        let masked_x = if config.variant.use_feature_mask {
+            explanations.feature_mask.hadamard(graph.features())
+        } else {
+            graph.features().clone()
+        };
+        let onehop_mask_values = config.variant.use_structure_mask.then(|| {
+            lift_weights_const(&ctx.khop, &explanations.structure_weights, &ctx.onehop_lift)
+        });
+        Self {
+            masked_x,
+            onehop_mask_values,
+            anchor: Arc::new(pairs.anchor_idx.clone()),
+            pos: Arc::new(pairs.pos_idx.clone()),
+            neg: Arc::new(pairs.neg_idx.clone()),
+        }
+    }
+}
+
+/// Everything one enhanced-predictive-learning step leaves on its tape,
+/// before `backward` and the optimiser touch it.
+struct EplStep {
+    tape: Tape,
+    out: ses_gnn::EncoderOutput,
+    /// `β L_triplet + (1 − β) L_xent`; `None` when no term contributes.
+    loss: Option<Var>,
+    l_triplet_val: Option<f32>,
+    l_xent_val: Option<f32>,
+}
+
+/// Records one enhanced-predictive-learning step (Eq. 13) on a fresh tape.
+/// `hinge` records Eq. 12's per-triple column `relu(d_p − d_n + m)` from
+/// the hidden layer; training passes [`Tape::triplet_hinge`].
+fn record_epl_step<E: Encoder + ?Sized>(
+    encoder: &mut E,
+    ctx: &SesContext,
+    inputs: &EplInputs,
+    config: &SesConfig,
+    rng: &mut StdRng,
+    hinge: impl FnOnce(&mut Tape, Var) -> Var,
+) -> EplStep {
+    let mut tape = Tape::new();
+    let x = tape.constant(inputs.masked_x.clone());
+    let edge_mask = inputs
+        .onehop_mask_values
+        .as_ref()
+        .map(|v| tape.constant(Matrix::col_vec(v)));
+    let out = {
+        let mut fctx = ForwardCtx {
+            tape: &mut tape,
+            adj: &ctx.adj,
+            x,
+            edge_mask,
+            train: true,
+            rng,
+        };
+        encoder.forward(&mut fctx)
+    };
+
+    // Eq. (13): β L_triplet + (1 − β) L_xent
+    let mut loss = None;
+    let mut l_triplet_val = None;
+    let mut l_xent_val = None;
+    if config.variant.use_triplet && !inputs.anchor.is_empty() {
+        let h = hinge(&mut tape, out.hidden);
+        let l_triplet = tape.mean_all(h);
+        l_triplet_val = Some(tape.value(l_triplet).scalar_value());
+        loss = Some(tape.scale(l_triplet, config.beta));
+    }
+    if config.variant.use_xent_epl {
+        let l_xent =
+            tape.cross_entropy_masked(out.logits, ctx.labels.clone(), ctx.train_idx.clone());
+        l_xent_val = Some(tape.value(l_xent).scalar_value());
+        let weighted = tape.scale(l_xent, 1.0 - config.beta);
+        loss = Some(match loss {
+            Some(l) => tape.add(l, weighted),
+            None => weighted,
+        });
+    }
+    EplStep {
+        tape,
+        out,
+        loss,
+        l_triplet_val,
+        l_xent_val,
+    }
+}
+
 /// The enhanced-predictive-learning loop (Eq. 13), with the same opt-in
 /// divergence sentinel as `ses_gnn::train_node_classifier`: under a
 /// detect-enabled [`SesConfig::recovery`] policy, a NaN/Inf loss,
@@ -739,23 +845,7 @@ fn run_epl_phase<E: Encoder + ?Sized>(
     }
     let mut opt = Adam::new(config.lr).with_weight_decay(config.weight_decay);
     let mut curve = Vec::with_capacity(config.epochs_epl);
-    let anchor = Arc::new(pairs.anchor_idx.clone());
-    let pos = Arc::new(pairs.pos_idx.clone());
-    let neg = Arc::new(pairs.neg_idx.clone());
-    let masked_x = if config.variant.use_feature_mask {
-        explanations.feature_mask.hadamard(graph.features())
-    } else {
-        graph.features().clone()
-    };
-    let onehop_mask_values = if config.variant.use_structure_mask {
-        Some(lift_weights_const(
-            &ctx.khop,
-            &explanations.structure_weights,
-            &ctx.onehop_lift,
-        ))
-    } else {
-        None
-    };
+    let inputs = EplInputs::build(graph, ctx, explanations, pairs, config);
 
     let mut manager = RecoveryManager::new(config.recovery.clone());
     let fault_spec = config.fault;
@@ -772,50 +862,21 @@ fn run_epl_phase<E: Encoder + ?Sized>(
             fault_fired = true;
             ses_tensor::par::arm_worker_panic(0);
         }
-        let mut tape = Tape::new();
-        let x = tape.constant(masked_x.clone());
-        let edge_mask = onehop_mask_values
-            .as_ref()
-            .map(|v| tape.constant(Matrix::col_vec(v)));
-        let out = {
-            let mut fctx = ForwardCtx {
-                tape: &mut tape,
-                adj: &ctx.adj,
-                x,
-                edge_mask,
-                train: true,
-                rng,
-            };
-            encoder.forward(&mut fctx)
-        };
-
-        // Eq. (13): β L_triplet + (1 − β) L_xent
-        let mut loss = None;
-        let mut l_triplet_val = None;
-        let mut l_xent_val = None;
-        if config.variant.use_triplet && !pairs.is_empty() {
-            let a = tape.gather_rows(out.hidden, anchor.clone());
-            let p = tape.gather_rows(out.hidden, pos.clone());
-            let n = tape.gather_rows(out.hidden, neg.clone());
-            let d_pos = tape.row_l2_distance(a, p);
-            let d_neg = tape.row_l2_distance(a, n);
-            let gap = tape.sub(d_pos, d_neg);
-            let gap = tape.add_scalar(gap, config.margin);
-            let hinge = tape.relu(gap);
-            let l_triplet = tape.mean_all(hinge);
-            l_triplet_val = Some(tape.value(l_triplet).scalar_value());
-            loss = Some(tape.scale(l_triplet, config.beta));
-        }
-        if config.variant.use_xent_epl {
-            let l_xent =
-                tape.cross_entropy_masked(out.logits, ctx.labels.clone(), ctx.train_idx.clone());
-            l_xent_val = Some(tape.value(l_xent).scalar_value());
-            let weighted = tape.scale(l_xent, 1.0 - config.beta);
-            loss = Some(match loss {
-                Some(l) => tape.add(l, weighted),
-                None => weighted,
-            });
-        }
+        let EplStep {
+            mut tape,
+            out,
+            loss,
+            l_triplet_val,
+            l_xent_val,
+        } = record_epl_step(encoder, ctx, &inputs, config, rng, |tape, hidden| {
+            tape.triplet_hinge(
+                hidden,
+                inputs.anchor.clone(),
+                inputs.pos.clone(),
+                inputs.neg.clone(),
+                config.margin,
+            )
+        });
         // No contributing objective (both EPL terms disabled, or triplet-only
         // with an empty pair set): nothing to optimise, so stop early rather
         // than spin through no-op epochs.
@@ -1168,6 +1229,107 @@ mod tests {
             for (i, (d, s)) in dense.iter().zip(&support).enumerate() {
                 let what = if i == 0 { "loss" } else { "parameter gradient" };
                 assert_eq!(d, s, "{name}: {what} {i} differs");
+            }
+        }
+    }
+
+    /// The Eq. 12 hinge column as recorded before `Tape::triplet_hinge`:
+    /// three gathers, two `sub` → `mul` → `row_sum` → `sqrt_eps` distances,
+    /// `sub`, `add_scalar`, `relu`.
+    fn unfused_hinge(tape: &mut Tape, h: Var, inputs: &EplInputs, margin: f32) -> Var {
+        let a = tape.gather_rows(h, inputs.anchor.clone());
+        let p = tape.gather_rows(h, inputs.pos.clone());
+        let n = tape.gather_rows(h, inputs.neg.clone());
+        let mut dist = |other: Var| {
+            let d = tape.sub(a, other);
+            let sq = tape.mul(d, d);
+            let s = tape.row_sum(sq);
+            tape.sqrt_eps(s, 1e-8)
+        };
+        let (d_pos, d_neg) = (dist(p), dist(n));
+        let gap = tape.sub(d_pos, d_neg);
+        let gap = tape.add_scalar(gap, margin);
+        tape.relu(gap)
+    }
+
+    /// Records one EPL step of `config` on `graph` with a fresh GCN,
+    /// masks from a fresh mask generator and Algorithm 1's triples, with the
+    /// hinge recorded by the fused op or by the unfused chain, and returns
+    /// the loss bits and every encoder gradient's bits.
+    fn epl_step_bits(graph: &Graph, config: &SesConfig, fused: bool) -> Vec<Vec<u32>> {
+        let mut rng = StdRng::seed_from_u64(32);
+        let splits = Splits::classification(graph.n_nodes(), &mut rng);
+        let mut encoder = Gcn::new(graph.n_features(), 16, graph.n_classes(), &mut rng);
+        let mask_gen = MaskGenerator::new(16, graph.n_features(), &mut rng);
+        let ctx = SesContext::build(graph, &splits, config, &mut rng);
+        let (feature_mask, structure_weights) =
+            extract_masks(&encoder, &mask_gen, graph, &ctx, config.seed);
+        let pairs = construct_pairs(
+            &ctx.khop,
+            &structure_weights,
+            &ctx.negatives,
+            config.sample_ratio,
+            &mut rng,
+        );
+        assert!(!pairs.is_empty());
+        let explanations = Explanations {
+            feature_mask,
+            khop: ctx.khop.clone(),
+            structure_weights,
+        };
+        let inputs = EplInputs::build(graph, &ctx, &explanations, &pairs, config);
+        let margin = config.margin;
+        let step = record_epl_step(&mut encoder, &ctx, &inputs, config, &mut rng, |t, h| {
+            if fused {
+                t.triplet_hinge(
+                    h,
+                    inputs.anchor.clone(),
+                    inputs.pos.clone(),
+                    inputs.neg.clone(),
+                    margin,
+                )
+            } else {
+                unfused_hinge(t, h, &inputs, margin)
+            }
+        });
+        let EplStep {
+            mut tape,
+            out,
+            loss,
+            ..
+        } = step;
+        let loss = loss.expect("both Eq. 13 terms contribute");
+        tape.backward(loss);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+        let mut all = vec![bits(tape.value(loss))];
+        for &v in &out.param_vars {
+            all.push(bits(tape.grad_unwrap(v)));
+        }
+        all
+    }
+
+    #[test]
+    fn epl_step_through_fused_triplet_is_bit_identical_to_chain() {
+        let mut rng = StdRng::seed_from_u64(30);
+        let cora = realworld::cora_like(Profile::Fast, &mut rng).graph;
+        let polblogs = realworld::polblogs_like(Profile::Fast, &mut rng).graph;
+        // The default margin keeps every triple of this untrained encoder
+        // inside the hinge; a zero margin switches 58–69% of them off, so
+        // the backward's skip of inactive triples is exercised too.
+        let margins = [SesConfig::default().margin, 0.0];
+        for (name, graph) in [("cora-like", &cora), ("polblogs-like", &polblogs)] {
+            for margin in margins {
+                let config = SesConfig {
+                    margin,
+                    ..Default::default()
+                };
+                let chain = epl_step_bits(graph, &config, false);
+                let fused = epl_step_bits(graph, &config, true);
+                assert_eq!(chain.len(), fused.len());
+                for (i, (c, f)) in chain.iter().zip(&fused).enumerate() {
+                    let what = if i == 0 { "loss" } else { "encoder gradient" };
+                    assert_eq!(c, f, "{name}, margin {margin}: {what} {i} differs");
+                }
             }
         }
     }

@@ -34,6 +34,14 @@ fn main() {
         (Some(spec), true) => eprintln!("fault-drill: injecting {spec}, recovery OFF"),
         (None, _) => eprintln!("fault-drill: no SES_FAULT set, running clean"),
     }
+    if let Some(spec) = &fault {
+        if !spec.kind.is_training() {
+            // Serve-path faults are drilled by `serve-drill` (ses-serve); the
+            // training loop never fires them, so a run would measure nothing.
+            eprintln!("fault-drill: {spec} is a serve-path fault; use serve-drill");
+            std::process::exit(1);
+        }
+    }
 
     let ckpt_path =
         std::env::temp_dir().join(format!("ses-fault-drill-{}.ckpt", std::process::id()));
@@ -101,11 +109,7 @@ fn main() {
                 ses_obs::metrics::TRAIN_RECOVER_CKPT_IO_ERRORS.get(),
             ),
             FaultKind::SlowStage(_) | FaultKind::PanicRequest(_) | FaultKind::CachePoison => {
-                // Serve-path faults are drilled by `serve-drill` (ses-serve),
-                // not the training loop — running them here would silently
-                // measure nothing.
-                eprintln!("fault-drill: {spec} is a serve-path fault; use serve-drill");
-                std::process::exit(1);
+                unreachable!("serve-path kinds rejected above")
             }
         };
         if count == 0 {

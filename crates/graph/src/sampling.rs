@@ -30,10 +30,21 @@ impl NegativeSets {
         rng: &mut impl Rng,
     ) -> Self {
         let n = khop.n_rows();
+        let mut marks = Marks {
+            positive: vec![false; n],
+            taken: vec![false; n],
+        };
         let mut sets = Vec::with_capacity(n);
         for v in 0..n {
             let need = khop.row_nnz(v);
-            sets.push(sample_for_node(khop, v, need, labels_for_filter, rng));
+            sets.push(sample_for_node(
+                khop,
+                v,
+                need,
+                labels_for_filter,
+                &mut marks,
+                rng,
+            ));
         }
         Self { sets }
     }
@@ -66,18 +77,32 @@ impl NegativeSets {
     }
 }
 
+/// Membership markers reused across nodes, all `false` between nodes:
+/// `positive` flags the current node and its k-hop row, `taken` the
+/// negatives drawn for it so far.
+struct Marks {
+    positive: Vec<bool>,
+    taken: Vec<bool>,
+}
+
 /// Samples `need` negatives for one node by rejection from the complement of
 /// its k-hop row. For small graphs (pool close to `need`) falls back to a
-/// full enumeration + shuffle.
+/// full enumeration + shuffle. Membership tests read `marks`, which this
+/// sets for `v` on entry and clears again before returning.
 fn sample_for_node(
     khop: &CsrStructure,
     v: usize,
     need: usize,
     labels: Option<&[usize]>,
+    marks: &mut Marks,
     rng: &mut impl Rng,
 ) -> Vec<usize> {
     let n = khop.n_rows();
-    let is_pos = |u: usize| u == v || khop.find(v, u).is_some();
+    let row = khop.row_indices(v);
+    for &u in row {
+        marks.positive[u] = true;
+    }
+    marks.positive[v] = true;
     let label_ok = |u: usize| labels.is_none_or(|ls| ls[u] != ls[v]);
 
     // Rejection sampling is O(need) when the neighbourhood is a small
@@ -88,20 +113,29 @@ fn sample_for_node(
     while out.len() < need && attempts < max_attempts {
         attempts += 1;
         let u = rng.gen_range(0..n);
-        if !is_pos(u) && label_ok(u) && !out.contains(&u) {
+        if !marks.positive[u] && label_ok(u) && !marks.taken[u] {
+            marks.taken[u] = true;
             out.push(u);
         }
     }
+    for &u in &out {
+        marks.taken[u] = false;
+    }
     if out.len() < need {
         // Enumerate the full candidate pool (rare: dense neighbourhoods).
-        let mut pool: Vec<usize> = (0..n).filter(|&u| !is_pos(u) && label_ok(u)).collect();
+        let is_pos = &marks.positive;
+        let mut pool: Vec<usize> = (0..n).filter(|&u| !is_pos[u] && label_ok(u)).collect();
         if pool.len() < need {
             // Relax the label constraint rather than under-sample.
-            pool = (0..n).filter(|&u| !is_pos(u)).collect();
+            pool = (0..n).filter(|&u| !is_pos[u]).collect();
         }
         pool.shuffle(rng);
         out = pool.into_iter().take(need).collect();
     }
+    for &u in row {
+        marks.positive[u] = false;
+    }
+    marks.positive[v] = false;
     out
 }
 
@@ -186,6 +220,87 @@ mod tests {
         let drawn = negs.draw(0, 10, &mut rng);
         assert_eq!(drawn.len(), 10);
         assert!(drawn.iter().all(|&u| negs.of(0).contains(&u)));
+    }
+
+    /// The sampler as it was before the marker arrays: membership by
+    /// binary search in the k-hop row and a linear scan of the drawn set.
+    fn sample_for_node_reference(
+        khop: &CsrStructure,
+        v: usize,
+        need: usize,
+        labels: Option<&[usize]>,
+        rng: &mut impl Rng,
+    ) -> Vec<usize> {
+        let n = khop.n_rows();
+        let is_pos = |u: usize| u == v || khop.find(v, u).is_some();
+        let label_ok = |u: usize| labels.is_none_or(|ls| ls[u] != ls[v]);
+        let mut out = Vec::with_capacity(need);
+        let mut attempts = 0usize;
+        let max_attempts = need.saturating_mul(20).max(64);
+        while out.len() < need && attempts < max_attempts {
+            attempts += 1;
+            let u = rng.gen_range(0..n);
+            if !is_pos(u) && label_ok(u) && !out.contains(&u) {
+                out.push(u);
+            }
+        }
+        if out.len() < need {
+            let mut pool: Vec<usize> = (0..n).filter(|&u| !is_pos(u) && label_ok(u)).collect();
+            if pool.len() < need {
+                pool = (0..n).filter(|&u| !is_pos(u)).collect();
+            }
+            pool.shuffle(rng);
+            out = pool.into_iter().take(need).collect();
+        }
+        out
+    }
+
+    /// A random graph on `n` nodes with edge probability `p` and three
+    /// labels.
+    fn random_graph(n: usize, p: f64, rng: &mut impl Rng) -> Graph {
+        let edges: Vec<(usize, usize)> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .filter(|_| rng.gen_bool(p))
+            .collect();
+        let labels = (0..n).map(|_| rng.gen_range(0..3)).collect();
+        Graph::new(n, &edges, Matrix::zeros(n, 1), labels)
+    }
+
+    #[test]
+    fn marker_sampler_matches_reference_sets_and_rng_state() {
+        let mut gen = rand::rngs::StdRng::seed_from_u64(8);
+        // Sparse: 2-hop rows of a few nodes each, filled by rejection.
+        // Dense: 2-hop rows covering most of the graph, so rejection runs
+        // out of attempts and the enumeration fallback (with and without
+        // relaxing the label filter) fills the sets or, when even the
+        // relaxed pool is short, truncates them.
+        let cases = [
+            ("sparse", random_graph(120, 0.02, &mut gen), false),
+            ("dense", random_graph(40, 0.25, &mut gen), true),
+        ];
+        for (name, g, truncates) in &cases {
+            let khop = khop_structure(g, 2);
+            let mut truncated = false;
+            for labels in [None, Some(g.labels())] {
+                for seed in 0..4 {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    let got = NegativeSets::sample(&khop, labels, &mut rng);
+                    let mut ref_rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    for v in 0..g.n_nodes() {
+                        let need = khop.row_nnz(v);
+                        let want = sample_for_node_reference(&khop, v, need, labels, &mut ref_rng);
+                        assert_eq!(got.of(v), want, "{name}: node {v}, seed {seed}");
+                        truncated |= want.len() < need;
+                    }
+                    assert_eq!(
+                        rng.gen::<u64>(),
+                        ref_rng.gen::<u64>(),
+                        "{name}: next draw after seed {seed}"
+                    );
+                }
+            }
+            assert_eq!(truncated, *truncates, "{name}: fallback coverage");
+        }
     }
 
     #[test]

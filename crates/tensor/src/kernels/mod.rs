@@ -3,12 +3,13 @@
 //! Every hot loop in the workspace bottoms out here: the sparse × dense
 //! products and edge softmax that dominate SES mask learning, the fused
 //! structure-mask pair scorer, the Eq. 3 feature gate on a sparse input's
-//! support, and the dense matmul family behind every linear layer (which
-//! switches to a CSR row body when its left operand is sparse, see
-//! [`support`]). Each parallel kernel takes an explicit `threads` argument;
-//! the public wrappers ([`crate::Matrix::matmul`], [`crate::sparse::spmm`],
-//! the tape ops) pass [`crate::par::configured_threads`]. The pair scorer
-//! and the feature gate are serial.
+//! support, the fused Eq. 12 triplet hinge, and the dense matmul family
+//! behind every linear layer (which switches to a CSR row body when its
+//! left operand is sparse, see [`support`]). Each parallel kernel takes an
+//! explicit `threads` argument; the public wrappers
+//! ([`crate::Matrix::matmul`], [`crate::sparse::spmm`], the tape ops) pass
+//! [`crate::par::configured_threads`]. The pair scorer, the feature gate
+//! and the triplet hinge are serial.
 //!
 //! # Determinism
 //!
@@ -34,6 +35,7 @@ mod dense;
 mod gate;
 mod pair;
 mod sparse;
+mod triplet;
 
 pub use dense::{matmul, matmul_t, t_matmul};
 pub use gate::feature_gate;
@@ -41,6 +43,7 @@ pub(crate) use gate::feature_gate_backward;
 pub use pair::pair_score;
 pub(crate) use pair::pair_score_backward;
 pub use sparse::{edge_softmax, edge_softmax_backward, spmm, spmm_transpose, spmm_values_grad};
+pub(crate) use triplet::{triplet, triplet_backward};
 
 // The old FEATURE_TILE-based scalar tiling lives on only inside
 // `reference` — the lane kernels block on `lane::LANES` multiples instead.

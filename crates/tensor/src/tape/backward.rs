@@ -273,6 +273,28 @@ impl Tape {
                 out.push((*bias, grads.bias));
                 out
             }
+            Op::TripletHinge {
+                h,
+                anchor,
+                pos,
+                neg,
+                dist,
+                ..
+            } => {
+                // D_n, D_p, D_a: the order the unfused chain's three gathers
+                // (recorded anchor, positive, negative) added into H's
+                // gradient.
+                let [d_n, d_p, d_a] = crate::kernels::triplet_backward(
+                    val(*h),
+                    anchor,
+                    pos,
+                    neg,
+                    node.value.as_slice(),
+                    dist,
+                    g.as_slice(),
+                );
+                vec![(*h, d_n), (*h, d_p), (*h, d_a)]
+            }
             Op::ConcatCols(a, b) => {
                 let (n, fa) = self.nodes[a.0].value.shape();
                 let fb = self.nodes[b.0].value.cols();

@@ -60,6 +60,13 @@ pub enum IrMeta {
         /// Largest endpoint over both lists (None when there are no pairs).
         idx_max: Option<usize>,
     },
+    /// Triplet-hinge index summary (anchor, positive and negative lists).
+    Triplets {
+        /// Lengths of the anchor, positive and negative lists.
+        lens: [usize; 3],
+        /// Largest endpoint over all three lists (None when they are empty).
+        idx_max: Option<usize>,
+    },
 }
 
 /// One node of the exported tape IR.
@@ -114,6 +121,7 @@ impl Op {
             Op::LeakyRelu(_, s) => vec![s.to_bits()],
             Op::Elu(_, a) => vec![a.to_bits()],
             Op::Sqrt(_, e) | Op::Log(_, e) => vec![e.to_bits()],
+            Op::TripletHinge { margin, .. } => vec![margin.to_bits()],
             _ => Vec::new(),
         }
     }
@@ -151,6 +159,17 @@ impl Op {
             Op::PairScore { a_idx, b_idx, .. } => IrMeta::Pairs {
                 len: a_idx.len(),
                 idx_max: a_idx.iter().chain(b_idx.iter()).copied().max(),
+            },
+            Op::TripletHinge {
+                anchor, pos, neg, ..
+            } => IrMeta::Triplets {
+                lens: [anchor.len(), pos.len(), neg.len()],
+                idx_max: anchor
+                    .iter()
+                    .chain(pos.iter())
+                    .chain(neg.iter())
+                    .copied()
+                    .max(),
             },
             _ => IrMeta::None,
         }

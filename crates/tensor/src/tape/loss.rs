@@ -1,4 +1,5 @@
-//! Loss-oriented operations: row-wise log-softmax and masked NLL.
+//! Loss-oriented operations: row-wise log-softmax, masked NLL and the fused
+//! triplet hinge.
 
 use std::sync::Arc;
 
@@ -44,6 +45,46 @@ impl Tape {
         let v = Matrix::scalar(acc / idx.len() as f32);
         let ng = self.needs(logp);
         self.push(v, Op::NllMasked { logp, labels, idx }, ng)
+    }
+
+    /// The SES triplet hinge (Eq. 12) in one op: for every triple
+    /// `(anchor[t], pos[t], neg[t])` of `h`'s rows,
+    /// `relu(‖h_a − h_p‖ − ‖h_a − h_n‖ + margin)` with each distance
+    /// `√(Σ_k (·)² + 1e-8)`, as a `T × 1` column. `h` is `n × d`; the three
+    /// index lists have one entry per triple.
+    ///
+    /// Forward and backward run on the serial kernels `kernels::triplet`
+    /// and `kernels::triplet_backward`, which read the rows of `h` in place. Values and
+    /// gradients are bit-identical to the chain `gather_rows`×3 → two
+    /// distances (`sub` → `mul` → `row_sum` → `sqrt_eps(·, 1e-8)`) → `sub` →
+    /// `add_scalar(margin)` → `relu`, including repeated anchors, an anchor
+    /// equal to its positive, `T = 0`, and non-finite rows (whose gradients
+    /// are non-finite exactly where the chain's are).
+    pub fn triplet_hinge(
+        &mut self,
+        h: Var,
+        anchor: Arc<Vec<usize>>,
+        pos: Arc<Vec<usize>>,
+        neg: Arc<Vec<usize>>,
+        margin: f32,
+    ) -> Var {
+        for idx in [&anchor, &pos, &neg] {
+            self.san_gather_bounds("triplet_hinge", h, idx);
+        }
+        let (v, dist) = crate::kernels::triplet(self.value(h), &anchor, &pos, &neg, margin);
+        let ng = self.needs(h);
+        self.push(
+            v,
+            Op::TripletHinge {
+                h,
+                anchor,
+                pos,
+                neg,
+                margin,
+                dist,
+            },
+            ng,
+        )
     }
 
     /// Cross-entropy (log-softmax + masked NLL) of logits against `labels`

@@ -133,6 +133,17 @@ pub(crate) enum Op {
         x: Arc<CsrMatrix>,
         gate: Vec<f32>,
     },
+    /// Fused triplet hinge (see [`Tape::triplet_hinge`]):
+    /// `relu(‖h_a − h_p‖ − ‖h_a − h_n‖ + margin)` per triple. `dist` holds
+    /// each triple's `[d_p, d_n]`, which the backward reads.
+    TripletHinge {
+        h: Var,
+        anchor: Arc<Vec<usize>>,
+        pos: Arc<Vec<usize>>,
+        neg: Arc<Vec<usize>>,
+        margin: f32,
+        dist: Vec<f32>,
+    },
     ConcatCols(Var, Var),
     ConcatRows(Var, Var),
     SumAll(Var),

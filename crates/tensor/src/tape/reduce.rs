@@ -24,17 +24,6 @@ impl Tape {
         let ng = self.needs(a);
         self.push(v, Op::RowSum(a), ng)
     }
-
-    /// Row-wise Euclidean distance between two equally shaped matrices:
-    /// `out[i] = ||a[i, :] − b[i, :]||₂` (with a small epsilon inside the
-    /// square root for gradient stability). Returns `n × 1`.
-    pub fn row_l2_distance(&mut self, a: Var, b: Var) -> Var {
-        self.san_same_shape("row_l2_distance", a, b);
-        let d = self.sub(a, b);
-        let sq = self.mul(d, d);
-        let s = self.row_sum(sq);
-        self.sqrt_eps(s, 1e-8)
-    }
 }
 
 #[cfg(test)]
@@ -58,16 +47,5 @@ mod tests {
         let s = t.row_sum(a);
         assert_eq!(t.shape(s), (2, 1));
         assert_eq!(t.value(s).as_slice(), &[6.0, 15.0]);
-    }
-
-    #[test]
-    fn row_l2_distance_hand_case() {
-        let mut t = Tape::new();
-        let a = t.leaf(Matrix::from_vec(2, 2, vec![0.0, 0.0, 1.0, 1.0]));
-        let b = t.leaf(Matrix::from_vec(2, 2, vec![3.0, 4.0, 1.0, 1.0]));
-        let d = t.row_l2_distance(a, b);
-        let dv = t.value(d).as_slice();
-        assert!((dv[0] - 5.0).abs() < 1e-3);
-        assert!(dv[1] < 1e-3);
     }
 }

@@ -87,6 +87,7 @@ impl Op {
             Op::GatherRows { .. } => "gather_rows",
             Op::PairScore { .. } => "pair_score",
             Op::FeatureGate { .. } => "feature_gate",
+            Op::TripletHinge { .. } => "triplet_hinge",
             Op::ConcatCols(..) => "concat_cols",
             Op::ConcatRows(..) => "concat_rows",
             Op::SumAll(..) => "sum_all",
@@ -144,7 +145,7 @@ impl Op {
             }
             Op::NllMasked { logp, .. } => f(*logp),
             Op::EdgeSoftmax { scores, .. } => f(*scores),
-            Op::GatherRows { src, .. } => f(*src),
+            Op::GatherRows { src, .. } | Op::TripletHinge { h: src, .. } => f(*src),
             Op::PairScore { h, w, bias, .. } => {
                 f(*h);
                 f(*w);

@@ -187,10 +187,20 @@ proptest! {
     }
 
     #[test]
-    fn grad_row_sum_l2(a in small_mat(3, 4), b in small_mat(3, 4)) {
-        assert_gradcheck(&[a, b], TOL, |t, vs| {
-            let d = t.row_l2_distance(vs[0], vs[1]);
-            t.mean_all(d)
+    fn grad_triplet_hinge(h in small_mat(5, 4)) {
+        // Repeated anchors (0, 2) and shared endpoints, but no anchor equal
+        // to its positive or negative: a √1e-8 distance is too sharp for
+        // finite differences. Rows are at most 6.0 apart, so a 7.0 margin
+        // keeps every hinge on and −7.0 keeps every one off.
+        let anchor = Arc::new(vec![0usize, 2, 2, 4, 0]);
+        let pos = Arc::new(vec![1usize, 3, 0, 1, 3]);
+        let neg = Arc::new(vec![3usize, 4, 1, 2, 4]);
+        assert_gradcheck(&[h], TOL, move |t, vs| {
+            let on = t.triplet_hinge(vs[0], anchor.clone(), pos.clone(), neg.clone(), 7.0);
+            let off = t.triplet_hinge(vs[0], anchor.clone(), pos.clone(), neg.clone(), -7.0);
+            let both = t.add(on, off);
+            let q = t.mul(both, both);
+            t.mean_all(q)
         });
     }
 

@@ -90,6 +90,21 @@ fn gather_out_of_bounds_names_the_op() {
 }
 
 #[test]
+fn triplet_out_of_bounds_names_the_op() {
+    if !sanitize_enabled() {
+        return;
+    }
+    let msg = panic_message(|| {
+        let mut t = Tape::new();
+        let h = t.leaf(Matrix::zeros(3, 2));
+        let ok = Arc::new(vec![0, 1]);
+        let _ = t.triplet_hinge(h, ok.clone(), ok, Arc::new(vec![2, 3]), 1.0);
+    });
+    assert!(msg.contains("SES_SANITIZE[triplet_hinge]"), "{msg}");
+    assert!(msg.contains("index 3"), "{msg}");
+}
+
+#[test]
 fn parallel_spmm_nan_names_the_op() {
     if !sanitize_enabled() {
         return;

@@ -61,9 +61,8 @@ pub fn op_determinism(op: &str) -> Option<DetClass> {
         | "transpose" | "add_row_broadcast" | "mul_col_broadcast" | "sigmoid" | "relu"
         | "leaky_relu" | "elu" | "tanh" | "sqrt_eps" | "log_eps" | "exp" | "abs"
         | "log_softmax_rows" | "nll_masked" | "gather_rows" | "pair_score" | "feature_gate"
-        | "concat_cols" | "concat_rows" | "sum_all" | "mean_all" | "row_sum" | "dropout" => {
-            Some(DetClass::Serial)
-        }
+        | "triplet_hinge" | "concat_cols" | "concat_rows" | "sum_all" | "mean_all" | "row_sum"
+        | "dropout" => Some(DetClass::Serial),
         _ => None,
     }
 }
@@ -272,6 +271,27 @@ pub fn infer_shape(
                 ));
             }
             Ok((rows, cols))
+        }
+        "triplet_hinge" => {
+            arity(1)?;
+            let IrMeta::Triplets { lens, idx_max } = *meta else {
+                return Err("`triplet_hinge` requires Triplets metadata".to_string());
+            };
+            let [anchors, positives, negatives] = lens;
+            if positives != anchors || negatives != anchors {
+                return Err(format!(
+                    "`triplet_hinge` index lists differ in length: {anchors} anchors, \
+                     {positives} positives, {negatives} negatives"
+                ));
+            }
+            let h = parents[0];
+            match idx_max {
+                Some(mx) if mx >= h.0 => Err(format!(
+                    "`triplet_hinge` endpoint {mx} out of bounds for {} rows",
+                    h.0
+                )),
+                _ => Ok((anchors, 1)),
+            }
         }
         "nll_masked" => {
             arity(1)?;
@@ -713,6 +733,26 @@ mod tests {
         assert!(infer_shape("feature_gate", &ok, &IrMeta::None).is_err());
         assert!(infer_shape("feature_gate", &ok[..2], &meta).is_err());
         assert_eq!(op_determinism("feature_gate"), Some(DetClass::Serial));
+    }
+
+    #[test]
+    fn infer_shape_checks_triplet_hinge_operands() {
+        let meta = |lens, idx_max| IrMeta::Triplets { lens, idx_max };
+        let ok = meta([7, 7, 7], Some(4));
+        assert_eq!(infer_shape("triplet_hinge", &[(5, 3)], &ok), Ok((7, 1)));
+        assert_eq!(
+            infer_shape("triplet_hinge", &[(5, 3)], &meta([0, 0, 0], None)),
+            Ok((0, 1))
+        );
+        // unequal index lists, each in turn
+        for lens in [[7, 6, 7], [7, 7, 8], [6, 7, 7]] {
+            assert!(infer_shape("triplet_hinge", &[(5, 3)], &meta(lens, Some(4))).is_err());
+        }
+        // an endpoint past H's rows, missing metadata, wrong arity
+        assert!(infer_shape("triplet_hinge", &[(4, 3)], &ok).is_err());
+        assert!(infer_shape("triplet_hinge", &[(5, 3)], &IrMeta::None).is_err());
+        assert!(infer_shape("triplet_hinge", &[(5, 3), (1, 1)], &ok).is_err());
+        assert_eq!(op_determinism("triplet_hinge"), Some(DetClass::Serial));
     }
 
     #[test]

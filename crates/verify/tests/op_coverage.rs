@@ -90,6 +90,15 @@ fn every_op_tape() -> (TapeIr, usize) {
     let x_sparse = Arc::new(CsrMatrix::new(support, vec![1.0, 0.5, -2.0]));
     let gated = t.feature_gate(h, gate_w, gate_b, x_sparse);
     let gated_sum = t.sum_all(gated);
+    let hinge = t.triplet_hinge(
+        h,
+        Arc::new(vec![0, 2, 2]),
+        Arc::new(vec![1, 0, 1]),
+        Arc::new(vec![2, 1, 0]),
+        1.0,
+    );
+    let hinge_sum = t.sum_all(hinge);
+    let gated_sum = t.add(gated_sum, hinge_sum);
     let pair_sum = t.sum_all(pairs);
     let pair_sum = t.add(pair_sum, gated_sum);
     let modulated = t.mul_scalar_var(pair_sum, tall);
@@ -106,7 +115,7 @@ fn every_op_tape() -> (TapeIr, usize) {
 #[test]
 fn every_op_name_is_recorded_and_verifies_clean() {
     let expected = op_names_in_source();
-    assert_eq!(expected.len(), 33, "Op::name arms: {expected:?}");
+    assert_eq!(expected.len(), 34, "Op::name arms: {expected:?}");
 
     let (ir, loss) = every_op_tape();
     let recorded: BTreeSet<&str> = ir.nodes.iter().map(|n| n.op.as_str()).collect();
