@@ -65,11 +65,7 @@ fn main() {
         emit("ses_gat", &trained.embeddings);
     }
     {
-        let bb = Backbone::train_gcn(
-            g,
-            &splits,
-            &resumable(backbone_config(seed), &format!("fig5-segnn-s{seed}")),
-        );
+        let bb = Backbone::train_gcn(g, &splits, &backbone_config(seed));
         emit("segnn", &bb.embeddings);
     }
     {

@@ -60,14 +60,7 @@ fn main() {
             .iter()
             .find(|&&v| g.degree(v) >= 4)
             .expect("some test node has degree >= 4");
-        let bb = Backbone::train_gcn(
-            g,
-            &splits,
-            &resumable(
-                backbone_config(seed),
-                &format!("fig8-{}-gcn-s{seed}", d.name),
-            ),
-        );
+        let bb = Backbone::train_gcn(g, &splits, &backbone_config(seed));
 
         println!(
             "\n--- {} : centre node {center} (class {}) ---",

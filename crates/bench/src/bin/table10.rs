@@ -52,10 +52,7 @@ fn run_posthoc_epl(
 ) -> f64 {
     let g = &d.graph;
     let splits = classification_splits(d, seed);
-    let cfg = resumable(
-        backbone_config(seed),
-        &format!("table10-{}-{backbone}-s{seed}", d.name),
-    );
+    let cfg = backbone_config(seed);
     let bb = match backbone {
         "GAT" => Backbone::train_gat(g, &splits, &cfg),
         _ => Backbone::train_gcn(g, &splits, &cfg),
@@ -110,7 +107,7 @@ fn run_posthoc_epl(
     cfg2.epochs_epl = cfg2.epochs_epl.max(15);
     run_epl(enc.as_mut(), g, &splits, &explanations, &cfg2);
     let adj = AdjView::of_graph(g);
-    let (pred, _) = predict(enc.as_ref(), g, &adj, seed);
+    let pred = predict(enc.as_ref(), &adj, g.features(), None).classes();
     accuracy(&pred, g.labels(), &splits.test)
 }
 

@@ -78,10 +78,7 @@ fn main() {
         for d in realworld_datasets(profile, seed) {
             let g = &d.graph;
             let splits = classification_splits(&d, seed);
-            let cfg = resumable(
-                backbone_config(seed),
-                &format!("table5-{}-{backbone}-s{seed}", d.name),
-            );
+            let cfg = backbone_config(seed);
             let bb = match backbone {
                 "GAT" => Backbone::train_gat(g, &splits, &cfg),
                 _ => Backbone::train_gcn(g, &splits, &cfg),

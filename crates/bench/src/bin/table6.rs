@@ -15,7 +15,7 @@ use ses_core::{fit, MaskGenerator};
 use ses_data::Profile;
 use ses_explain::*;
 use ses_gnn::Gcn;
-use ses_metrics::Stopwatch;
+use ses_obs::Stopwatch;
 
 fn main() {
     let profile = Profile::from_env();
@@ -23,10 +23,7 @@ fn main() {
     let d = &realworld_datasets(profile, seed)[0]; // cora-like
     let g = &d.graph;
     let splits = classification_splits(d, seed);
-    let cfg = resumable(
-        backbone_config(seed),
-        &format!("table6-{}-gcn-s{seed}", d.name),
-    );
+    let cfg = backbone_config(seed);
     let bb = Backbone::train_gcn(g, &splits, &cfg);
     eprintln!("backbone acc {:.3}", bb.test_acc);
 
@@ -38,7 +35,7 @@ fn main() {
     );
 
     // GNNExplainer: re-optimise a mask per node.
-    let mut sw = Stopwatch::new();
+    let mut sw = Stopwatch::start();
     {
         let e = GnnExplainer::new(
             &bb,
@@ -51,7 +48,7 @@ fn main() {
             let _ = e.explain(v);
         }
     }
-    sheet.record("GNNExplainer", sw.lap("gnnx").as_secs_f64());
+    sheet.record("GNNExplainer", sw.lap().as_secs_f64());
 
     // GraphLIME: one lasso fit per node.
     {
@@ -60,13 +57,13 @@ fn main() {
             let _ = e.explain(v);
         }
     }
-    sheet.record("GraphLIME", sw.lap("lime").as_secs_f64());
+    sheet.record("GraphLIME", sw.lap().as_secs_f64());
 
     // PGExplainer: train the global scorer once.
     {
         let _ = PgExplainer::train(&bb, &PgExplainerConfig::default());
     }
-    sheet.record("PGExplainer", sw.lap("pge").as_secs_f64());
+    sheet.record("PGExplainer", sw.lap().as_secs_f64());
 
     // SEGNN: similarity classification of every node (includes its share of
     // backbone training, as the paper counts self-explainable training time).
@@ -77,7 +74,7 @@ fn main() {
             let _ = segnn.classify(v);
         }
     }
-    sheet.record("SEGNN", sw.lap("segnn").as_secs_f64());
+    sheet.record("SEGNN", sw.lap().as_secs_f64());
 
     // SES (et): explainable training produces all explanations at once.
     {

@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use ses_bench::*;
 use ses_core::construct_pairs;
 use ses_graph::{khop_structure, Graph, NegativeSets};
-use ses_metrics::Stopwatch;
+use ses_obs::Stopwatch;
 use ses_tensor::Matrix;
 
 /// Sparse random graph with |E| = 2|V| (the paper's Table 8 workload).
@@ -41,7 +41,7 @@ fn main() {
         let weights: Vec<f32> = (0..khop.nnz())
             .map(|i| (i as f32 * 0.7).sin().abs())
             .collect();
-        let sw = Stopwatch::new();
+        let sw = Stopwatch::start();
         let pairs = construct_pairs(&khop, &weights, &negs, 0.8, &mut rng);
         let secs = sw.elapsed().as_secs_f64();
         eprintln!("n={n}: {secs:.4}s ({} triples)", pairs.len());

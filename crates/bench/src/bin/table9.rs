@@ -49,11 +49,7 @@ fn main() {
         record("SES (GAT)", &trained.embeddings);
     }
     {
-        let bb = Backbone::train_gcn(
-            g,
-            &splits,
-            &resumable(backbone_config(seed), &format!("table9-segnn-s{seed}")),
-        );
+        let bb = Backbone::train_gcn(g, &splits, &backbone_config(seed));
         let _segnn = Segnn::new(&bb, &splits, SegnnConfig::default());
         // SEGNN classifies from the backbone's embedding space.
         record("SEGNN", &bb.embeddings);

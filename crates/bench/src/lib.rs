@@ -136,52 +136,6 @@ impl TimingSheet {
     }
 }
 
-/// Environment variable naming a directory for rotated bench checkpoints.
-/// Unset (the default) keeps every bench binary checkpoint-free.
-pub const BENCH_CKPT_DIR_ENV: &str = "SES_BENCH_CKPT_DIR";
-
-/// Opt-in checkpoint/resume for the long-running bench binaries. When
-/// `SES_BENCH_CKPT_DIR` is set, the returned config persists rotated
-/// checkpoints under `<dir>/<tag>.ckpt` (the newest three are kept, see
-/// [`ses_resilience::RecoveryManager::record_checkpoint`]) and — if an
-/// earlier invocation already left checkpoints there — resumes from the
-/// newest one instead of retraining from scratch. With the variable unset
-/// this is the identity function, so default bench runs stay bit-identical.
-pub fn resumable(mut cfg: TrainConfig, tag: &str) -> TrainConfig {
-    let dir = match std::env::var(BENCH_CKPT_DIR_ENV) {
-        Ok(d) if !d.is_empty() => PathBuf::from(d),
-        _ => return cfg,
-    };
-    if let Err(e) = fs::create_dir_all(&dir) {
-        ses_obs::info!(
-            "bench: cannot create checkpoint dir {} ({e}); running without resume",
-            dir.display()
-        );
-        return cfg;
-    }
-    // Tags embed dataset/model names; keep the file name shell-safe.
-    let safe: String = tag
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.' {
-                c
-            } else {
-                '-'
-            }
-        })
-        .collect();
-    let base = dir.join(format!("{safe}.ckpt"));
-    cfg.resume_from = ses_resilience::latest_checkpoint(&base);
-    if let Some(p) = &cfg.resume_from {
-        ses_obs::info!("bench: resuming {safe} from {}", p.display());
-    }
-    if cfg.recovery.checkpoint_every == 0 {
-        cfg.recovery.checkpoint_every = 10;
-    }
-    cfg.recovery.checkpoint_path = Some(base);
-    cfg
-}
-
 /// The four real-world stand-ins in paper order (fresh sample per seed).
 pub fn realworld_datasets(profile: Profile, seed: u64) -> Vec<Dataset> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -297,31 +251,6 @@ mod tests {
             names,
             vec!["cora-like", "citeseer-like", "polblogs-like", "cs-like"]
         );
-    }
-
-    #[test]
-    fn resumable_is_identity_without_env_and_wires_rotation_with_it() {
-        // Identity when the env var is unset (or explicitly empty).
-        std::env::set_var(BENCH_CKPT_DIR_ENV, "");
-        let plain = resumable(backbone_config(3), "unit-tag");
-        assert!(plain.resume_from.is_none());
-        assert!(plain.recovery.checkpoint_path.is_none());
-
-        let dir = std::env::temp_dir().join("ses-bench-test-resume");
-        std::fs::remove_dir_all(&dir).ok();
-        std::env::set_var(BENCH_CKPT_DIR_ENV, &dir);
-        let cfg = resumable(backbone_config(3), "table3/cora like");
-        std::env::remove_var(BENCH_CKPT_DIR_ENV);
-
-        let base = cfg.recovery.checkpoint_path.expect("checkpoint path set");
-        assert_eq!(
-            base.file_name().and_then(|n| n.to_str()),
-            Some("table3-cora-like.ckpt"),
-            "tag is sanitised into a safe file name"
-        );
-        assert!(cfg.recovery.checkpoint_every > 0);
-        assert!(cfg.resume_from.is_none(), "no prior checkpoint to resume");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

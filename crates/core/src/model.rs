@@ -9,11 +9,11 @@ use ses_obs::Stopwatch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ses_data::Splits;
-use ses_gnn::{AdjView, Encoder, ForwardCtx};
+use ses_gnn::{predict, AdjView, Encoder, ForwardCtx, Prediction};
 use ses_graph::{khop_structure, khop_structure_capped, Graph, NegativeSets};
 use ses_metrics::accuracy;
-use ses_resilience::{fault, FaultKind, RecoveryManager, TrainCheckpoint, Verdict};
-use ses_tensor::{Adam, CsrMatrix, CsrStructure, Matrix, Optimizer, Tape, Var};
+use ses_resilience::{apply_gradients, RecoveryManager, Verdict};
+use ses_tensor::{Adam, CsrMatrix, CsrStructure, Matrix, Tape, Var};
 
 use crate::config::SesConfig;
 use crate::explanation::Explanations;
@@ -461,17 +461,19 @@ pub fn fit<E: Encoder>(
     let mut et_val_curve = Vec::with_capacity(config.epochs_explain);
     let mut snapshots = Vec::new();
 
-    // Same opt-in divergence sentinel as the EPL phase, but over the joint
-    // encoder + mask-generator parameter set — a NaN in the mask branch must
-    // roll *both* back or the pair drifts apart. Detections here are counted
-    // separately (`trainer.recover.mask_phase`) so drills can tell which
-    // phase a recovery fired in.
-    let mut mask_manager = RecoveryManager::new(config.recovery.clone());
+    // The same recovery protocol as the EPL phase, over the joint encoder +
+    // mask-generator parameter set: a NaN in the mask branch must roll
+    // *both* back or the pair drifts apart. `SesConfig::fault` targets EPL,
+    // so this phase injects none. Detections here also count
+    // `trainer.recover.mask_phase`, so drills can tell which phase a
+    // recovery fired in.
+    let mut recovery = RecoveryManager::new(config.recovery.clone(), None);
 
     let mut epoch = 0usize;
     while epoch < config.epochs_explain {
         let epoch_start = Stopwatch::start();
         let spans_before = ses_obs::spans::snapshot();
+        recovery.begin_epoch(epoch);
         let step = record_explain_step(&mut encoder, &mut mask_gen, graph, &ctx, config, &mut rng);
         let ExplainStep {
             mut tape,
@@ -487,74 +489,49 @@ pub fn fit<E: Encoder>(
         let loss_val = tape.value(loss).scalar_value();
         tape.backward(loss);
 
-        let grads_finite = out
+        let mut grads: Vec<Option<Matrix>> = out
             .param_vars
             .iter()
-            .chain(mask_params.iter())
-            .filter_map(|&v| tape.grad(v))
-            .all(|g| g.as_slice().iter().all(|x| x.is_finite()));
-        if let Verdict::Diverged(reason) = mask_manager.observe(loss_val, grads_finite) {
+            .chain(&mask_params)
+            .map(|&v| tape.grad(v).cloned())
+            .collect();
+        let mut params = encoder.params_mut();
+        params.extend(mask_gen.params_mut());
+        let verdict = recovery.judge(epoch, loss_val, &mut grads, &mut opt, &mut rng, &mut params);
+        if verdict != Verdict::Healthy {
             ses_obs::metrics::TRAIN_RECOVER_MASK_PHASE.incr();
-            let rolled_back = {
-                let mut params = encoder.params_mut();
-                params.extend(mask_gen.params_mut());
-                mask_manager.try_rollback(&reason, &mut opt, &mut rng, &mut params)
-            };
-            match rolled_back {
-                Ok(resume) => {
-                    let keep = resume as usize + 1;
-                    et_loss_curve.truncate(keep);
-                    et_val_curve.truncate(keep);
-                    snapshots.retain(|s: &MaskSnapshot| s.epoch < keep);
-                    epoch = keep;
-                    continue;
-                }
-                Err(err) => {
-                    // Like the EPL phase, this loop reports through curves
-                    // rather than a Result: on an unrecoverable divergence,
-                    // restore the last consistent state (if any) and let the
-                    // rest of the pipeline run from it.
-                    if let Some(ckpt) = mask_manager.last_good().cloned() {
-                        let mut params = encoder.params_mut();
-                        params.extend(mask_gen.params_mut());
-                        if ckpt.restore_into(&mut opt, &mut rng, &mut params).is_ok() {
-                            let keep = ckpt.epoch as usize + 1;
-                            et_loss_curve.truncate(keep);
-                            et_val_curve.truncate(keep);
-                            snapshots.retain(|s: &MaskSnapshot| s.epoch < keep);
-                        }
-                    }
-                    ses_obs::info!(
-                        "explain: stopping at epoch {epoch} after unrecoverable divergence ({reason}): {err}"
-                    );
-                    break;
-                }
-            }
         }
-
-        apply_step(
-            &mut opt,
-            &tape,
-            &mut encoder,
-            Some(&mut mask_gen),
-            &out.param_vars,
-            &mask_params,
-        );
-
-        if mask_manager.checkpoint_due(epoch as u64) {
-            let ckpt = {
-                let mut params = encoder.params_mut();
-                params.extend(mask_gen.params_mut());
-                TrainCheckpoint::capture(epoch as u64, &opt, &rng, &params)
-            };
-            if let Err(e) = mask_manager.record_checkpoint(ckpt, false) {
-                ses_obs::info!("explain: stopping at epoch {epoch}: checkpoint write failed: {e}");
-                break;
+        // Like EPL, this phase reports through curves rather than a Result:
+        // when recovery gives up, or a strict checkpoint write fails, it
+        // restores the last good state (if any) and the rest of the
+        // pipeline runs from it.
+        let stop = match verdict {
+            Verdict::Healthy => {
+                apply_gradients(&mut opt, &mut params, &grads);
+                recovery.commit(epoch, &opt, &rng, &params).is_err()
             }
+            Verdict::Rewound { resume_after } => {
+                epoch = resume_after + 1;
+                et_loss_curve.truncate(epoch);
+                et_val_curve.truncate(epoch);
+                snapshots.retain(|s: &MaskSnapshot| s.epoch < epoch);
+                continue;
+            }
+            Verdict::GaveUp { .. } => true,
+        };
+        if stop {
+            if let Some(last) = recovery.restore_last_good(&mut opt, &mut rng, &mut params) {
+                et_loss_curve.truncate(last + 1);
+                et_val_curve.truncate(last + 1);
+                snapshots.retain(|s: &MaskSnapshot| s.epoch <= last);
+            }
+            break;
         }
+        // Free the gradient copies before the eval forward below allocates.
+        drop(grads);
 
         et_loss_curve.push(loss_val);
-        let (pred, _) = eval_forward(&encoder, graph, &ctx.adj, None, None, config.seed);
+        let pred = predict(&encoder, &ctx.adj, graph.features(), None).classes();
         let val_acc = accuracy(&pred, graph.labels(), eval_split(splits));
         et_val_curve.push(val_acc);
 
@@ -612,16 +589,9 @@ pub fn fit<E: Encoder>(
         structure_weights: structure_weights.clone(),
     };
 
-    let (pred_et, _) = masked_eval(
-        &encoder,
-        graph,
-        &ctx,
-        &explanations,
-        &config.variant,
-        config.seed,
-    );
+    let pred_et = masked_eval(&encoder, graph, &ctx, &explanations, &config.variant).classes();
     let test_acc_after_et = accuracy(&pred_et, graph.labels(), test_split(splits));
-    let (pred_plain, _) = eval_forward(&encoder, graph, &ctx.adj, None, None, config.seed);
+    let pred_plain = predict(&encoder, &ctx.adj, graph.features(), None).classes();
     let test_acc_plain = accuracy(&pred_plain, graph.labels(), test_split(splits));
 
     // ----- Algorithm 1: positive-negative pairs -----
@@ -650,14 +620,10 @@ pub fn fit<E: Encoder>(
     let epl_time = epl_start.elapsed();
     drop(phase_span);
 
-    let (predictions, embeddings) = masked_eval(
-        &encoder,
-        graph,
-        &ctx,
-        &explanations,
-        &config.variant,
-        config.seed,
-    );
+    let (predictions, embeddings) = {
+        let eval = masked_eval(&encoder, graph, &ctx, &explanations, &config.variant);
+        (eval.classes(), eval.hidden().clone())
+    };
     let test_acc = accuracy(&predictions, graph.labels(), test_split(splits));
     let val_acc = accuracy(&predictions, graph.labels(), eval_split(splits));
 
@@ -823,14 +789,15 @@ fn record_epl_step<E: Encoder + ?Sized>(
     }
 }
 
-/// The enhanced-predictive-learning loop (Eq. 13), with the same opt-in
-/// divergence sentinel as `ses_gnn::train_node_classifier`: under a
-/// detect-enabled [`SesConfig::recovery`] policy, a NaN/Inf loss,
-/// non-finite gradient, or loss spike rolls the phase back to its last
-/// good checkpoint with LR backoff. Because this phase returns a loss
-/// curve rather than a `Result` (it refines an already-trained model), an
-/// *unrecoverable* divergence stops the phase gracefully at the last good
-/// state instead of erroring.
+/// The enhanced-predictive-learning loop (Eq. 13), under the recovery
+/// protocol every training loop runs ([`RecoveryManager`]), with
+/// [`SesConfig::fault`] as its fault schedule: under a detect-enabled
+/// [`SesConfig::recovery`] policy, a NaN/Inf loss, non-finite gradient, or
+/// loss spike rolls the phase back to its last good checkpoint with LR
+/// backoff. Because this phase returns a loss curve rather than a `Result`
+/// (it refines an already-trained model), an *unrecoverable* divergence or
+/// a failed strict checkpoint write stops the phase gracefully at the last
+/// good state instead of erroring.
 fn run_epl_phase<E: Encoder + ?Sized>(
     encoder: &mut E,
     graph: &Graph,
@@ -847,21 +814,12 @@ fn run_epl_phase<E: Encoder + ?Sized>(
     let mut curve = Vec::with_capacity(config.epochs_epl);
     let inputs = EplInputs::build(graph, ctx, explanations, pairs, config);
 
-    let mut manager = RecoveryManager::new(config.recovery.clone());
-    let fault_spec = config.fault;
-    let mut fault_fired = false;
-
+    let mut recovery = RecoveryManager::new(config.recovery.clone(), config.fault);
     let mut epoch = 0usize;
     while epoch < config.epochs_epl {
         let epoch_start = Stopwatch::start();
         let spans_before = ses_obs::spans::snapshot();
-        let fires = |fired: bool, kind: FaultKind| -> bool {
-            !fired && fault_spec.is_some_and(|s| s.kind == kind && s.fires_at(epoch as u64))
-        };
-        if fires(fault_fired, FaultKind::WorkerPanic) {
-            fault_fired = true;
-            ses_tensor::par::arm_worker_panic(0);
-        }
+        recovery.begin_epoch(epoch);
         let EplStep {
             mut tape,
             out,
@@ -883,81 +841,32 @@ fn run_epl_phase<E: Encoder + ?Sized>(
         let Some(loss) = loss else { break };
         let loss_val = tape.value(loss).scalar_value();
         tape.backward(loss);
-        // A worker-panic fault armed above is consumed during forward/backward
-        // kernels; disarm so an unfired countdown (serial run) cannot leak.
-        ses_tensor::par::disarm_worker_panic();
 
-        let mut enc_grads: Vec<Option<Matrix>> = out
+        let mut grads: Vec<Option<Matrix>> = out
             .param_vars
             .iter()
             .map(|&v| tape.grad(v).cloned())
             .collect();
-        if fires(fault_fired, FaultKind::NanGrad) {
-            fault_fired = true;
-            fault::corrupt_one_grad(&mut enc_grads, fault_spec.map_or(0, |s| s.seed));
-        }
-        let grads_finite = enc_grads
-            .iter()
-            .flatten()
-            .all(|g| g.as_slice().iter().all(|x| x.is_finite()));
-
-        if let Verdict::Diverged(reason) = manager.observe(loss_val, grads_finite) {
-            let rolled_back = {
-                let mut params = encoder.params_mut();
-                manager.try_rollback(&reason, &mut opt, rng, &mut params)
-            };
-            match rolled_back {
-                Ok(resume) => {
-                    curve.truncate(resume as usize + 1);
-                    epoch = resume as usize + 1;
-                    continue;
-                }
-                Err(err) => {
-                    // This phase refines an already-trained model and returns
-                    // a curve, not a Result: on an unrecoverable divergence,
-                    // restore the last good state (if any) and stop early.
-                    if let Some(ckpt) = manager.last_good().cloned() {
-                        let mut params = encoder.params_mut();
-                        if ckpt.restore_into(&mut opt, rng, &mut params).is_ok() {
-                            curve.truncate(ckpt.epoch as usize + 1);
-                        }
-                    }
-                    ses_obs::info!(
-                        "epl: stopping at epoch {epoch} after unrecoverable divergence ({reason}): {err}"
-                    );
-                    break;
-                }
+        let mut params = encoder.params_mut();
+        let stop = match recovery.judge(epoch, loss_val, &mut grads, &mut opt, rng, &mut params) {
+            Verdict::Healthy => {
+                apply_gradients(&mut opt, &mut params, &grads);
+                recovery.commit(epoch, &opt, rng, &params).is_err()
             }
+            Verdict::Rewound { resume_after } => {
+                epoch = resume_after + 1;
+                curve.truncate(epoch);
+                continue;
+            }
+            Verdict::GaveUp { .. } => true,
+        };
+        if stop {
+            if let Some(last) = recovery.restore_last_good(&mut opt, rng, &mut params) {
+                curve.truncate(last + 1);
+            }
+            break;
         }
         curve.push(loss_val);
-
-        {
-            let mut params = encoder.params_mut();
-            let mut all: Vec<(&mut ses_tensor::Param, &Matrix)> = Vec::new();
-            for (p, g) in params.iter_mut().zip(enc_grads.iter()) {
-                if let Some(g) = g {
-                    all.push((&mut **p, g));
-                }
-            }
-            opt.step(&mut all);
-        }
-
-        if manager.checkpoint_due(epoch as u64) {
-            let ckpt = {
-                let params = encoder.params_mut();
-                TrainCheckpoint::capture(epoch as u64, &opt, rng, &params)
-            };
-            let inject_io = fires(fault_fired, FaultKind::CkptIo);
-            if inject_io {
-                fault_fired = true;
-            }
-            if let Err(e) = manager.record_checkpoint(ckpt, inject_io) {
-                // Strict checkpointing demands durability this phase cannot
-                // provide; stop at the last consistent state.
-                ses_obs::info!("epl: stopping at epoch {epoch}: checkpoint write failed: {e}");
-                break;
-            }
-        }
 
         ses_obs::metrics::TRAIN_EPOCH_NS.record(epoch_start.elapsed_ns());
 
@@ -979,40 +888,6 @@ fn run_epl_phase<E: Encoder + ?Sized>(
         epoch += 1;
     }
     curve
-}
-
-/// Reads gradients from the tape and applies one optimiser step over the
-/// encoder (and optionally mask generator) parameters. Parameters whose
-/// gradient is absent (e.g. unused in an ablation) are skipped.
-fn apply_step<E: Encoder + ?Sized>(
-    opt: &mut Adam,
-    tape: &Tape,
-    encoder: &mut E,
-    mask_gen: Option<&mut MaskGenerator>,
-    enc_vars: &[Var],
-    mask_vars: &[Var],
-) {
-    let enc_grads: Vec<Option<Matrix>> = enc_vars.iter().map(|&v| tape.grad(v).cloned()).collect();
-    let mask_grads: Vec<Option<Matrix>> =
-        mask_vars.iter().map(|&v| tape.grad(v).cloned()).collect();
-
-    let mut params = encoder.params_mut();
-    let mut all: Vec<(&mut ses_tensor::Param, &Matrix)> = Vec::new();
-    for (p, g) in params.iter_mut().zip(enc_grads.iter()) {
-        if let Some(g) = g {
-            all.push((&mut **p, g));
-        }
-    }
-    let mut mg_params;
-    if let Some(mg) = mask_gen {
-        mg_params = mg.params_mut();
-        for (p, g) in mg_params.iter_mut().zip(mask_grads.iter()) {
-            if let Some(g) = g {
-                all.push((&mut **p, g));
-            }
-        }
-    }
-    opt.step(&mut all);
 }
 
 /// Samples one negative endpoint per k-hop edge: the anchor stays the edge's
@@ -1088,37 +963,6 @@ fn lift_weights_const(khop: &CsrStructure, weights: &[f32], map: &Arc<Vec<usize>
         .collect()
 }
 
-/// Plain (optionally masked) eval forward: returns `(argmax predictions,
-/// hidden embeddings)`.
-fn eval_forward<E: Encoder>(
-    encoder: &E,
-    graph: &Graph,
-    adj: &AdjView,
-    features_override: Option<&Matrix>,
-    edge_values: Option<&[f32]>,
-    seed: u64,
-) -> (Vec<usize>, Matrix) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut tape = Tape::new();
-    let x = tape.constant(features_override.unwrap_or(graph.features()).clone());
-    let edge_mask = edge_values.map(|v| tape.constant(Matrix::col_vec(v)));
-    let out = {
-        let mut fctx = ForwardCtx {
-            tape: &mut tape,
-            adj,
-            x,
-            edge_mask,
-            train: false,
-            rng: &mut rng,
-        };
-        encoder.forward(&mut fctx)
-    };
-    (
-        tape.value(out.logits).argmax_rows(),
-        tape.value(out.hidden).clone(),
-    )
-}
-
 /// Eval forward with the SES masks applied per the variant flags (Eq. 10).
 fn masked_eval<E: Encoder>(
     encoder: &E,
@@ -1126,23 +970,19 @@ fn masked_eval<E: Encoder>(
     ctx: &SesContext,
     explanations: &Explanations,
     variant: &crate::config::SesVariant,
-    seed: u64,
-) -> (Vec<usize>, Matrix) {
-    let fx = if variant.use_feature_mask {
-        Some(explanations.feature_mask.hadamard(graph.features()))
-    } else {
-        None
-    };
-    let ev = if variant.use_structure_mask {
-        Some(lift_weights_const(
-            &ctx.khop,
-            &explanations.structure_weights,
-            &ctx.onehop_lift,
-        ))
-    } else {
-        None
-    };
-    eval_forward(encoder, graph, &ctx.adj, fx.as_ref(), ev.as_deref(), seed)
+) -> Prediction {
+    let masked_x = variant
+        .use_feature_mask
+        .then(|| explanations.feature_mask.hadamard(graph.features()));
+    let edge_values = variant
+        .use_structure_mask
+        .then(|| lift_weights_const(&ctx.khop, &explanations.structure_weights, &ctx.onehop_lift));
+    predict(
+        encoder,
+        &ctx.adj,
+        masked_x.as_ref().unwrap_or(graph.features()),
+        edge_values.as_deref(),
+    )
 }
 
 fn eval_split(splits: &Splits) -> &[usize] {
@@ -1167,6 +1007,8 @@ mod tests {
     use crate::config::SesVariant;
     use ses_data::{realworld, Profile};
     use ses_gnn::Gcn;
+    use ses_resilience::{FaultSpec, RecoveryPolicy};
+    use ses_tensor::{Optimizer, Param};
 
     fn quick_config() -> SesConfig {
         SesConfig {
@@ -1473,11 +1315,109 @@ mod tests {
         );
     }
 
+    /// One epoch's optimiser step as the loops must take it: a single
+    /// `Adam::step` over `params` in order, skipping parameters whose
+    /// gradient (read from `vars` on `tape`) is absent.
+    fn reference_step(opt: &mut Adam, tape: &Tape, params: Vec<&mut Param>, vars: &[Var]) {
+        let mut updates: Vec<(&mut Param, &Matrix)> = params
+            .into_iter()
+            .zip(vars)
+            .filter_map(|(p, &v)| tape.grad(v).map(|g| (p, g)))
+            .collect();
+        opt.step(&mut updates);
+    }
+
     #[test]
-    fn epl_nan_grad_fault_recovers_and_finishes_the_phase() {
-        let _obs = ses_obs::force_enabled(true);
-        let rollbacks_before = ses_obs::metrics::TRAIN_RECOVER_ROLLBACKS.get();
-        let detected_before = ses_obs::metrics::TRAIN_RECOVER_DETECTED.get();
+    fn fit_loops_match_an_in_test_rebuild_bit_for_bit() {
+        // Two epochs of each phase rebuilt from the step recorders, the RNG
+        // stream and one Adam step per epoch (encoder, then mask generator,
+        // in phase 1): `fit`'s loops, recovery protocol included, must add
+        // nothing to the numbers.
+        let mut rng = StdRng::seed_from_u64(29);
+        let d = realworld::cora_like(Profile::Fast, &mut rng);
+        let g = &d.graph;
+        let splits = Splits::classification(g.n_nodes(), &mut rng);
+        let enc = Gcn::new(g.n_features(), 16, g.n_classes(), &mut rng);
+        let mg = MaskGenerator::new(16, g.n_features(), &mut rng);
+        let config = SesConfig {
+            epochs_explain: 2,
+            epochs_epl: 2,
+            ..Default::default()
+        };
+        let trained = fit(enc.clone(), mg.clone(), g, &splits, &config);
+
+        let (mut encoder, mut mask_gen) = (enc, mg);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let ctx = SesContext::build(g, &splits, &config, &mut rng);
+        let mut opt = Adam::new(config.lr).with_weight_decay(config.weight_decay);
+        let mut et_curve = Vec::new();
+        for _ in 0..config.epochs_explain {
+            let ExplainStep {
+                mut tape,
+                out,
+                mask_params,
+                loss,
+                ..
+            } = record_explain_step(&mut encoder, &mut mask_gen, g, &ctx, &config, &mut rng);
+            et_curve.push(tape.value(loss).scalar_value());
+            tape.backward(loss);
+            let mut params = encoder.params_mut();
+            params.extend(mask_gen.params_mut());
+            let vars: Vec<Var> = out.param_vars.iter().chain(&mask_params).copied().collect();
+            reference_step(&mut opt, &tape, params, &vars);
+        }
+
+        let (feature_mask, structure_weights) =
+            extract_masks(&encoder, &mask_gen, g, &ctx, config.seed);
+        let pairs = construct_pairs(
+            &ctx.khop,
+            &structure_weights,
+            &ctx.negatives,
+            config.sample_ratio,
+            &mut rng,
+        );
+        let explanations = Explanations {
+            feature_mask,
+            khop: ctx.khop.clone(),
+            structure_weights,
+        };
+        let inputs = EplInputs::build(g, &ctx, &explanations, &pairs, &config);
+        let mut opt = Adam::new(config.lr).with_weight_decay(config.weight_decay);
+        let mut epl_curve = Vec::new();
+        for _ in 0..config.epochs_epl {
+            let EplStep {
+                mut tape,
+                out,
+                loss,
+                ..
+            } = record_epl_step(&mut encoder, &ctx, &inputs, &config, &mut rng, |t, h| {
+                t.triplet_hinge(
+                    h,
+                    inputs.anchor.clone(),
+                    inputs.pos.clone(),
+                    inputs.neg.clone(),
+                    config.margin,
+                )
+            });
+            let loss = loss.expect("both Eq. 13 terms contribute");
+            epl_curve.push(tape.value(loss).scalar_value());
+            tape.backward(loss);
+            reference_step(&mut opt, &tape, encoder.params_mut(), &out.param_vars);
+        }
+
+        let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&trained.report.et_loss_curve), bits(&et_curve));
+        assert_eq!(bits(&trained.report.epl_loss_curve), bits(&epl_curve));
+    }
+
+    /// Fits a small SES(GCN) on polblogs-like (10 explainable-training
+    /// epochs, then `epochs_epl`) under `recovery`, with `fault` injected
+    /// into EPL.
+    fn fit_small(
+        epochs_epl: usize,
+        recovery: RecoveryPolicy,
+        fault: Option<&str>,
+    ) -> TrainedSes<Gcn> {
         let mut rng = StdRng::seed_from_u64(26);
         let d = realworld::polblogs_like(Profile::Fast, &mut rng);
         let g = &d.graph;
@@ -1486,24 +1426,108 @@ mod tests {
         let mg = MaskGenerator::new(8, g.n_features(), &mut rng);
         let cfg = SesConfig {
             epochs_explain: 10,
-            epochs_epl: 6,
-            recovery: ses_resilience::RecoveryPolicy::standard(),
-            fault: Some(ses_resilience::FaultSpec {
-                kind: FaultKind::NanGrad,
-                epoch: 3,
-                seed: 11,
-            }),
+            epochs_epl,
+            recovery,
+            fault: fault.map(|f| FaultSpec::parse(f).expect("valid fault spec")),
             ..Default::default()
         };
-        let trained = fit(enc, mg, g, &splits, &cfg);
-        assert_eq!(
-            trained.report.epl_loss_curve.len(),
+        fit(enc, mg, g, &splits, &cfg)
+    }
+
+    #[test]
+    fn epl_recovers_from_every_training_fault() {
+        let _obs = ses_obs::force_enabled(true);
+        let path = std::env::temp_dir().join("ses-core-test-epl-faults.ckpt");
+        let recovery = RecoveryPolicy {
+            checkpoint_path: Some(path.clone()),
+            ..RecoveryPolicy::standard()
+        };
+        // Every kernel of this small model is below its crossover, so lift
+        // the clamp for workers to spawn at all; it changes scheduling,
+        // never bits.
+        ses_tensor::par::set_thread_override(4);
+        ses_tensor::par::dispatch::set_bypass(true);
+        for (fault, counter) in [
+            (
+                "nan-grad@3,seed=11",
+                &ses_obs::metrics::TRAIN_RECOVER_ROLLBACKS,
+            ),
+            ("worker-panic@3", &ses_obs::metrics::KERNEL_PANIC_DEGRADED),
+            ("ckpt-io@3", &ses_obs::metrics::TRAIN_RECOVER_CKPT_IO_ERRORS),
+        ] {
+            let before = counter.get();
+            let curve = fit_small(6, recovery.clone(), Some(fault))
+                .report
+                .epl_loss_curve;
+            assert_eq!(curve.len(), 6, "{fault}: EPL completes its schedule");
+            assert!(curve.iter().all(|l| l.is_finite()), "{fault}");
+            assert!(
+                counter.get() > before,
+                "{fault}: {} did not move",
+                counter.name()
+            );
+        }
+        ses_tensor::par::dispatch::set_bypass(false);
+        ses_tensor::par::set_thread_override(0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn epl_stops_at_the_last_good_state_without_recovery() {
+        // Zero retries, or a checkpoint write that must not fail: the fault
+        // at epoch 3 stops EPL at its epoch-2 checkpoint, which is exactly
+        // where a clean three-epoch EPL ends.
+        let clean = fit_small(3, RecoveryPolicy::disabled(), None);
+        let path = std::env::temp_dir().join("ses-core-test-epl-strict.ckpt");
+        for (recovery, fault) in [
+            (
+                RecoveryPolicy {
+                    max_retries: 0,
+                    ..RecoveryPolicy::standard()
+                },
+                "nan-grad@3,seed=11",
+            ),
+            (
+                RecoveryPolicy {
+                    checkpoint_path: Some(path.clone()),
+                    strict_checkpoints: true,
+                    ..RecoveryPolicy::standard()
+                },
+                "ckpt-io@3",
+            ),
+        ] {
+            let stopped = fit_small(6, recovery, Some(fault));
+            assert_eq!(
+                stopped.report.epl_loss_curve, clean.report.epl_loss_curve,
+                "{fault}"
+            );
+            assert_eq!(stopped.predictions, clean.predictions, "{fault}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_strict_checkpoint_stops_both_phases_and_fit_still_predicts() {
+        let _obs = ses_obs::force_enabled(true);
+        let io_before = ses_obs::metrics::TRAIN_RECOVER_CKPT_IO_ERRORS.get();
+        // A path in a directory that does not exist: every write fails.
+        let dir = std::env::temp_dir().join("ses-core-test-missing-dir");
+        std::fs::remove_dir_all(&dir).ok();
+        let trained = fit_small(
             6,
-            "EPL must complete its full schedule despite the injected fault"
+            RecoveryPolicy {
+                checkpoint_path: Some(dir.join("train.ckpt")),
+                strict_checkpoints: true,
+                ..RecoveryPolicy::standard()
+            },
+            None,
         );
-        assert!(trained.report.epl_loss_curve.iter().all(|l| l.is_finite()));
-        assert!(ses_obs::metrics::TRAIN_RECOVER_DETECTED.get() > detected_before);
-        assert!(ses_obs::metrics::TRAIN_RECOVER_ROLLBACKS.get() > rollbacks_before);
+        let report = &trained.report;
+        assert!(report.et_loss_curve.is_empty(), "phase 1 stops at epoch 0");
+        assert!(report.epl_loss_curve.is_empty(), "so does EPL");
+        assert_eq!(trained.predictions.len(), trained.embeddings.rows());
+        assert!(report.test_acc > 0.0);
+        assert!(ses_obs::metrics::TRAIN_RECOVER_CKPT_IO_ERRORS.get() >= io_before + 2);
     }
 
     #[test]
@@ -1527,9 +1551,9 @@ mod tests {
             epochs_explain: 8,
             epochs_epl: 0,
             lr: 1e12,
-            recovery: ses_resilience::RecoveryPolicy {
+            recovery: RecoveryPolicy {
                 spike_window: 1,
-                ..ses_resilience::RecoveryPolicy::standard()
+                ..RecoveryPolicy::standard()
             },
             ..Default::default()
         };
@@ -1542,43 +1566,5 @@ mod tests {
             trained.report.et_loss_curve.iter().all(|l| l.is_finite()),
             "diverged epochs must not leak into the reported curve"
         );
-    }
-
-    #[test]
-    fn epl_stops_gracefully_when_retry_budget_is_zero() {
-        // detect on, zero retries: the sentinel sees the NaN but has no
-        // budget to roll back, so the phase stops at the last good state
-        // instead of stepping the encoder onto garbage. The fault fires at
-        // epoch 3, so exactly epochs 0..=2 survive in the curve.
-        let mut rng = StdRng::seed_from_u64(27);
-        let d = realworld::polblogs_like(Profile::Fast, &mut rng);
-        let g = &d.graph;
-        let splits = Splits::classification(g.n_nodes(), &mut rng);
-        let enc = Gcn::new(g.n_features(), 8, g.n_classes(), &mut rng);
-        let mg = MaskGenerator::new(8, g.n_features(), &mut rng);
-        let cfg = SesConfig {
-            epochs_explain: 10,
-            epochs_epl: 6,
-            recovery: ses_resilience::RecoveryPolicy {
-                max_retries: 0,
-                ..ses_resilience::RecoveryPolicy::standard()
-            },
-            fault: Some(ses_resilience::FaultSpec {
-                kind: FaultKind::NanGrad,
-                epoch: 3,
-                seed: 11,
-            }),
-            ..Default::default()
-        };
-        let trained = fit(enc, mg, g, &splits, &cfg);
-        assert_eq!(
-            trained.report.epl_loss_curve.len(),
-            3,
-            "the phase must stop at the checkpointed state before the fault"
-        );
-        assert!(trained.report.epl_loss_curve.iter().all(|l| l.is_finite()));
-        // The encoder is restored to the last good checkpoint, so the model
-        // must still classify — the aborted phase degrades, not destroys.
-        assert!(trained.report.test_acc > 0.5);
     }
 }

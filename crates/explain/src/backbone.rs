@@ -4,11 +4,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ses_data::Splits;
-use ses_gnn::{
-    predict, train_node_classifier, AdjView, Encoder, ForwardCtx, Gat, Gcn, TrainConfig,
-};
+use ses_gnn::{predict, train_node_classifier, AdjView, Encoder, Gat, Gcn, TrainConfig};
 use ses_graph::Graph;
-use ses_tensor::{Matrix, Tape};
+use ses_tensor::Matrix;
 
 /// A frozen, trained GNN together with everything explainers query.
 pub struct Backbone {
@@ -53,7 +51,10 @@ impl Backbone {
         let report = train_node_classifier(encoder.as_mut(), graph, &adj, splits, config)
             // lint:allow(no-unwrap): explainers need a trained backbone; a training abort (leak budget / unrecoverable divergence) is fatal here
             .expect("backbone training failed");
-        let (predictions, embeddings) = predict(encoder.as_ref(), graph, &adj, config.seed);
+        let (predictions, embeddings) = {
+            let eval = predict(encoder.as_ref(), &adj, graph.features(), None);
+            (eval.classes(), eval.hidden().clone())
+        };
         Self {
             encoder,
             graph: graph.clone(),
@@ -72,23 +73,14 @@ impl Backbone {
         edge_values: Option<&[f32]>,
         adj: Option<&AdjView>,
     ) -> Matrix {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut tape = Tape::new();
-        let x = tape.constant(features.unwrap_or(self.graph.features()).clone());
-        let edge_mask = edge_values.map(|v| tape.constant(Matrix::col_vec(v)));
-        let view = adj.unwrap_or(&self.adj);
-        let out = {
-            let mut fctx = ForwardCtx {
-                tape: &mut tape,
-                adj: view,
-                x,
-                edge_mask,
-                train: false,
-                rng: &mut rng,
-            };
-            self.encoder.forward(&mut fctx)
-        };
-        tape.value(out.logits).clone()
+        predict(
+            self.encoder.as_ref(),
+            adj.unwrap_or(&self.adj),
+            features.unwrap_or(self.graph.features()),
+            edge_values,
+        )
+        .logits()
+        .clone()
     }
 
     /// Row-softmax probabilities from [`Backbone::logits`].

@@ -18,7 +18,7 @@
 //! interfaces, and [`explain_subgraph`] is the SES explain pipeline it
 //! shares with the serving runtime. The [`stage`] module instruments each
 //! explained node as a traced request with per-stage
-//! (extract/encode/mask/rank) latency histograms and SLO budget checks.
+//! (extract/encode/mask/rank) latency histograms.
 
 pub mod att;
 pub mod backbone;

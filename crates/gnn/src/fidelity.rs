@@ -5,13 +5,12 @@
 //! complementary mask `1 − m_i` zeroes each node's top-k most important
 //! feature dimensions.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use ses_graph::Graph;
-use ses_tensor::{Matrix, Tape};
+use ses_tensor::Matrix;
 
 use crate::adjview::AdjView;
-use crate::encoder::{Encoder, ForwardCtx};
+use crate::encoder::Encoder;
+use crate::trainer::predict;
 
 /// Zeroes, per node, the `top_k` feature dimensions with the largest
 /// importance weight **among that node's non-zero features** (the paper
@@ -37,28 +36,6 @@ pub fn mask_top_features(features: &Matrix, importance: &Matrix, top_k: usize) -
     out
 }
 
-/// Runs `encoder` on custom features and returns argmax predictions.
-pub fn predict_with_features(
-    encoder: &dyn Encoder,
-    adj: &AdjView,
-    features: &Matrix,
-    seed: u64,
-) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut tape = Tape::new();
-    let x = tape.constant(features.clone());
-    let mut ctx = ForwardCtx {
-        tape: &mut tape,
-        adj,
-        x,
-        edge_mask: None,
-        train: false,
-        rng: &mut rng,
-    };
-    let out = encoder.forward(&mut ctx);
-    tape.value(out.logits).argmax_rows()
-}
-
 /// Fidelity+ (accuracy form) of a feature-importance explanation over the
 /// nodes in `idx`. Higher is better: the removed features mattered.
 pub fn fidelity_plus(
@@ -69,9 +46,9 @@ pub fn fidelity_plus(
     top_k: usize,
     idx: &[usize],
 ) -> f64 {
-    let orig = predict_with_features(encoder, adj, graph.features(), 0);
+    let orig = predict(encoder, adj, graph.features(), None).classes();
     let masked_features = mask_top_features(graph.features(), importance, top_k);
-    let masked = predict_with_features(encoder, adj, &masked_features, 0);
+    let masked = predict(encoder, adj, &masked_features, None).classes();
     let labels = graph.labels();
     let mut delta = 0.0f64;
     for &i in idx {
@@ -107,6 +84,8 @@ mod tests {
     fn fidelity_of_random_importance_near_zero_for_identity_model() {
         // A model ignoring features entirely -> fidelity must be 0.
         use crate::gcn::Gcn;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
         use ses_graph::Graph;
         let mut rng = StdRng::seed_from_u64(1);
         let g = Graph::new(

@@ -1,5 +1,7 @@
-//! Graph attention network (Veličković et al., 2018), multi-head, plus the
-//! "FusedGAT" execution variant (Zhang et al., MLSys 2022).
+//! Graph attention network (Veličković et al., 2018), multi-head. The
+//! paper's "FusedGAT" baseline (Zhang et al., MLSys 2022) is an execution
+//! strategy for this same computation, not a different model, so it has no
+//! second forward here.
 
 use rand::rngs::StdRng;
 use ses_tensor::{init, Matrix, Param, Tape, Var};
@@ -38,7 +40,6 @@ pub struct Gat {
     hidden_per_head: usize,
     out: usize,
     dropout: f32,
-    fused: bool,
 }
 
 impl Gat {
@@ -58,7 +59,6 @@ impl Gat {
             hidden_per_head: per,
             out,
             dropout: 0.5,
-            fused: false,
         }
     }
 
@@ -68,60 +68,21 @@ impl Gat {
         self
     }
 
-    /// Enables the fused execution path: attention logits for all heads are
-    /// computed from a single pair of gathered matrices instead of one
-    /// gather per head, cutting intermediate traffic (the FusedGAT
-    /// optimisation). Numerically identical to the unfused path.
-    pub fn fused(mut self) -> Self {
-        self.fused = true;
-        self
-    }
-
     /// One attention layer over `x`, returning the aggregated features.
-    #[allow(clippy::too_many_arguments)]
     fn attention_layer(
         tape: &mut Tape,
         adj: &AdjView,
-        head: &Head,
         x: Var,
         w: Var,
         a_src: Var,
         a_dst: Var,
         edge_mask: Option<Var>,
     ) -> Var {
-        let _ = head;
         let hw = tape.matmul(x, w);
         let s_src = tape.matmul(hw, a_src);
         let s_dst = tape.matmul(hw, a_dst);
         let g_dst = tape.gather_rows(s_dst, adj.entry_rows().clone());
         let g_src = tape.gather_rows(s_src, adj.entry_cols().clone());
-        let scores = tape.add(g_dst, g_src);
-        let scores = tape.leaky_relu(scores, 0.2);
-        let mut att = tape.edge_softmax(adj.structure().clone(), scores);
-        if let Some(m) = edge_mask {
-            att = tape.mul(att, m);
-        }
-        tape.spmm(adj.structure().clone(), att, hw)
-    }
-
-    /// Fused variant: gathers `hw` rows once and derives all score terms
-    /// from the gathered matrices (one gather pair per layer rather than per
-    /// head-score).
-    #[allow(clippy::too_many_arguments)]
-    fn attention_layer_fused(
-        tape: &mut Tape,
-        adj: &AdjView,
-        x: Var,
-        w: Var,
-        a_src: Var,
-        a_dst: Var,
-        edge_mask: Option<Var>,
-    ) -> Var {
-        let hw = tape.matmul(x, w);
-        let hw_dst = tape.gather_rows(hw, adj.entry_rows().clone());
-        let hw_src = tape.gather_rows(hw, adj.entry_cols().clone());
-        let g_dst = tape.matmul(hw_dst, a_dst);
-        let g_src = tape.matmul(hw_src, a_src);
         let scores = tape.add(g_dst, g_src);
         let scores = tape.leaky_relu(scores, 0.2);
         let mut att = tape.edge_softmax(adj.structure().clone(), scores);
@@ -165,12 +126,15 @@ impl Encoder for Gat {
             let a_src = head.a_src.watch(tape);
             let a_dst = head.a_dst.watch(tape);
             param_vars.extend([w, a_src, a_dst]);
-            let out = if self.fused {
-                Self::attention_layer_fused(tape, ctx.adj, ctx.x, w, a_src, a_dst, ctx.edge_mask)
-            } else {
-                Self::attention_layer(tape, ctx.adj, head, ctx.x, w, a_src, a_dst, ctx.edge_mask)
-            };
-            head_outputs.push(out);
+            head_outputs.push(Self::attention_layer(
+                tape,
+                ctx.adj,
+                ctx.x,
+                w,
+                a_src,
+                a_dst,
+                ctx.edge_mask,
+            ));
         }
         let mut cat = head_outputs[0];
         for &h in &head_outputs[1..] {
@@ -198,20 +162,7 @@ impl Encoder for Gat {
         let a_dst = self.layer2.a_dst.watch(tape);
         let b2 = self.b2.watch(tape);
         param_vars.extend([w, a_src, a_dst, b2]);
-        let out = if self.fused {
-            Self::attention_layer_fused(tape, ctx.adj, h, w, a_src, a_dst, ctx.edge_mask)
-        } else {
-            Self::attention_layer(
-                tape,
-                ctx.adj,
-                &self.layer2,
-                h,
-                w,
-                a_src,
-                a_dst,
-                ctx.edge_mask,
-            )
-        };
+        let out = Self::attention_layer(tape, ctx.adj, h, w, a_src, a_dst, ctx.edge_mask);
         let logits = tape.add_row_broadcast(out, b2);
 
         EncoderOutput {
@@ -264,11 +215,7 @@ impl Encoder for Gat {
     }
 
     fn name(&self) -> &'static str {
-        if self.fused {
-            "FusedGAT"
-        } else {
-            "GAT"
-        }
+        "GAT"
     }
 }
 
@@ -308,33 +255,6 @@ mod tests {
         assert_eq!(tape.shape(out.hidden), (5, 8));
         assert_eq!(tape.shape(out.logits), (5, 2));
         assert_eq!(out.param_vars.len(), 4 * 3 + 1 + 3 + 1);
-    }
-
-    #[test]
-    fn fused_matches_unfused() {
-        let (g, adj, mut rng) = setup();
-        let gat = Gat::new(3, 8, 2, 2, &mut rng);
-        let fused = gat.clone().fused();
-        let run = |enc: &Gat, rng: &mut StdRng| -> Matrix {
-            let mut tape = Tape::new();
-            let x = tape.constant(g.features().clone());
-            let mut ctx = ForwardCtx {
-                tape: &mut tape,
-                adj: &adj,
-                x,
-                edge_mask: None,
-                train: false,
-                rng,
-            };
-            let out = enc.forward(&mut ctx);
-            tape.value(out.logits).clone()
-        };
-        let a = run(&gat, &mut rng);
-        let b = run(&fused, &mut rng);
-        assert!(
-            a.max_abs_diff(&b) < 1e-5,
-            "fused path must be numerically identical"
-        );
     }
 
     #[test]

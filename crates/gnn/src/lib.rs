@@ -1,9 +1,10 @@
 //! `ses-gnn` — GNN backbones and training infrastructure.
 //!
 //! Implements the trivial-GNN baselines of the paper's Table 3 — GCN, GAT
-//! (and its FusedGAT execution variant), GraphSAGE, GIN, ARMA, UniMP-style
-//! label propagation, and A-SDGN — behind a shared [`Encoder`] trait, plus
-//! the full-batch [`trainer`] and the Fidelity+ metric (Table 5).
+//! (whose FusedGAT execution strategy computes the same model), GraphSAGE,
+//! GIN, ARMA, UniMP-style label propagation, and A-SDGN — behind a shared
+//! [`Encoder`] trait, plus the full-batch [`trainer`] with its eval-mode
+//! [`predict`], and the Fidelity+ metric (Table 5).
 //!
 //! Every encoder's `forward` accepts an [`AdjView`] and an optional per-edge
 //! mask variable, which is how SES re-runs the shared encoder over masked
@@ -25,10 +26,12 @@ pub use adjview::AdjView;
 pub use arma::Arma;
 pub use asdgn::Asdgn;
 pub use encoder::{Encoder, EncoderOutput, ForwardCtx};
-pub use fidelity::{fidelity_plus, mask_top_features, predict_with_features};
+pub use fidelity::{fidelity_plus, mask_top_features};
 pub use gat::Gat;
 pub use gcn::Gcn;
 pub use gin::Gin;
 pub use sage::Sage;
-pub use trainer::{predict, train_node_classifier, TrainConfig, TrainError, TrainReport};
+pub use trainer::{
+    predict, train_node_classifier, Prediction, TrainConfig, TrainError, TrainReport,
+};
 pub use unimp::UniMp;

@@ -25,10 +25,10 @@ use ses_data::Splits;
 use ses_graph::Graph;
 use ses_metrics::accuracy;
 use ses_resilience::{
-    fault, CheckpointError, FaultKind, FaultSpec, RecoveryManager, RecoveryPolicy, TrainCheckpoint,
+    apply_gradients, CheckpointError, FaultSpec, RecoveryManager, RecoveryPolicy, TrainCheckpoint,
     Verdict,
 };
-use ses_tensor::{Adam, LeakBudget, Matrix, Optimizer, Tape};
+use ses_tensor::{Adam, LeakBudget, Matrix, Tape, Var};
 
 use crate::adjview::AdjView;
 use crate::encoder::{Encoder, ForwardCtx};
@@ -47,8 +47,6 @@ pub struct TrainConfig {
     pub patience: usize,
     /// RNG seed (controls dropout and any model-internal sampling).
     pub seed: u64,
-    /// Print progress every `log_every` epochs (0 = silent).
-    pub log_every: usize,
     /// Per-epoch gradient-leak budget. When set, every epoch's tape is
     /// checked after `backward`: more `Unused`/`AfterLoss` leaks than the
     /// budget allows aborts the run with [`TrainError::LeakBudget`] (and a
@@ -78,7 +76,6 @@ impl Default for TrainConfig {
             weight_decay: 5e-4,
             patience: 50,
             seed: 0,
-            log_every: 0,
             leak_budget: None,
             recovery: RecoveryPolicy::disabled(),
             fault: None,
@@ -166,40 +163,59 @@ pub struct TrainReport {
     pub val_curve: Vec<f64>,
 }
 
-/// Runs one evaluation forward pass and returns `(argmax predictions,
-/// hidden-layer embedding)`.
+/// One eval-mode forward pass, kept on its tape: callers read the logits,
+/// the hidden layer or the argmax classes without copying what they skip.
+pub struct Prediction {
+    tape: Tape,
+    logits: Var,
+    hidden: Var,
+}
+
+impl Prediction {
+    /// Class logits (`n × classes`).
+    pub fn logits(&self) -> &Matrix {
+        self.tape.value(self.logits)
+    }
+
+    /// First-layer embedding (`n × hidden`).
+    pub fn hidden(&self) -> &Matrix {
+        self.tape.value(self.hidden)
+    }
+
+    /// The argmax class of every node.
+    pub fn classes(&self) -> Vec<usize> {
+        self.logits().argmax_rows()
+    }
+}
+
+/// The eval-mode forward pass: `encoder` over `adj` on `features`, with
+/// `edge_values` as the per-entry edge mask (`None` means all ones). Eval
+/// mode draws no randomness (dropout and label masking are train-only), so
+/// the result depends on the inputs alone.
 pub fn predict(
     encoder: &dyn Encoder,
-    graph: &Graph,
     adj: &AdjView,
-    seed: u64,
-) -> (Vec<usize>, Matrix) {
-    let mut rng = StdRng::seed_from_u64(seed);
+    features: &Matrix,
+    edge_values: Option<&[f32]>,
+) -> Prediction {
+    let mut rng = StdRng::seed_from_u64(0);
     let mut tape = Tape::new();
-    let x = tape.constant(graph.features().clone());
+    let x = tape.constant(features.clone());
+    let edge_mask = edge_values.map(|v| tape.constant(Matrix::col_vec(v)));
     let mut ctx = ForwardCtx {
         tape: &mut tape,
         adj,
         x,
-        edge_mask: None,
+        edge_mask,
         train: false,
         rng: &mut rng,
     };
     let out = encoder.forward(&mut ctx);
-    let logits = tape.value(out.logits);
-    (logits.argmax_rows(), tape.value(out.hidden).clone())
-}
-
-/// Captures a full training checkpoint of `encoder` + optimiser + RNG after
-/// `epoch` completed.
-fn capture_checkpoint(
-    epoch: usize,
-    encoder: &mut dyn Encoder,
-    opt: &Adam,
-    rng: &StdRng,
-) -> TrainCheckpoint {
-    let params = encoder.params_mut();
-    TrainCheckpoint::capture(epoch as u64, opt, rng, &params)
+    Prediction {
+        tape,
+        logits: out.logits,
+        hidden: out.hidden,
+    }
 }
 
 /// Best-effort final checkpoint on an error path: writes the state at
@@ -214,7 +230,7 @@ fn emergency_checkpoint(
     policy: &RecoveryPolicy,
 ) -> Option<PathBuf> {
     let path = policy.checkpoint_path.clone()?;
-    let ckpt = capture_checkpoint(epoch, encoder, opt, rng);
+    let ckpt = TrainCheckpoint::capture(epoch as u64, opt, rng, &encoder.params_mut());
     match ckpt.write_atomic(&path, false) {
         Ok(()) => Some(path),
         Err(e) => {
@@ -223,11 +239,6 @@ fn emergency_checkpoint(
             None
         }
     }
-}
-
-/// The on-disk checkpoint to report in an error, if one exists.
-fn existing_checkpoint(policy: &RecoveryPolicy) -> Option<PathBuf> {
-    policy.checkpoint_path.clone().filter(|p| p.exists())
 }
 
 /// Trains `encoder` on `graph` with the given splits. Restores the
@@ -249,22 +260,10 @@ pub fn train_node_classifier(
     let labels = Arc::new(graph.labels().to_vec());
     let train_idx = Arc::new(splits.train.clone());
 
-    let mut manager = RecoveryManager::new(config.recovery.clone());
-    let fault_spec = config.fault;
-    let mut fault_fired = false;
-
+    let mut recovery = RecoveryManager::new(config.recovery.clone(), config.fault);
     let mut epoch = 0usize;
     if let Some(path) = &config.resume_from {
-        let ckpt = TrainCheckpoint::read_from(path)?;
-        {
-            let mut params = encoder.params_mut();
-            ckpt.restore_into(&mut opt, &mut rng, &mut params)?;
-        }
-        epoch = (ckpt.epoch as usize) + 1;
-        ses_obs::info!("trainer: resumed from {} at epoch {epoch}", path.display());
-        // The loaded checkpoint is the rollback target until a fresh one
-        // lands.
-        manager.seed_last_good(ckpt);
+        epoch = recovery.resume(path, &mut opt, &mut rng, &mut encoder.params_mut())?;
     }
 
     let mut best_val = -1.0f64;
@@ -278,14 +277,7 @@ pub fn train_node_classifier(
         epochs_run = epoch + 1;
         let epoch_start = Stopwatch::start();
         let spans_before = ses_obs::spans::snapshot();
-
-        let fires = |fired: bool, kind: FaultKind| -> bool {
-            !fired && fault_spec.is_some_and(|s| s.kind == kind && s.fires_at(epoch as u64))
-        };
-        if fires(fault_fired, FaultKind::WorkerPanic) {
-            fault_fired = true;
-            ses_tensor::par::arm_worker_panic(0);
-        }
+        recovery.begin_epoch(epoch);
 
         let mut tape = Tape::new();
         let x = tape.constant(graph.features().clone());
@@ -304,9 +296,6 @@ pub fn train_node_classifier(
         let loss = tape.cross_entropy_masked(out.logits, labels.clone(), train_idx.clone());
         let loss_val = tape.value(loss).scalar_value();
         tape.backward(loss);
-        // A worker-panic fault that found no parallel op this epoch (e.g.
-        // single-threaded run) must not leak into a later epoch.
-        ses_tensor::par::disarm_worker_panic();
 
         if let Some(budget) = &config.leak_budget {
             match tape.check_leak_budget(loss, budget) {
@@ -334,67 +323,36 @@ pub fn train_node_classifier(
             .iter()
             .map(|&v| tape.grad(v).cloned())
             .collect();
-        if fires(fault_fired, FaultKind::NanGrad) {
-            fault_fired = true;
-            let seed = fault_spec.map_or(0, |s| s.seed);
-            fault::corrupt_one_grad(&mut grads, seed);
-        }
-
-        let grads_finite = grads
-            .iter()
-            .flatten()
-            .all(|g| g.as_slice().iter().all(|v| v.is_finite()));
-        if let Verdict::Diverged(reason) = manager.observe(loss_val, grads_finite) {
-            let rolled_back = {
-                let mut params = encoder.params_mut();
-                manager.try_rollback(&reason, &mut opt, &mut rng, &mut params)
-            };
-            match rolled_back {
-                Ok(resume_epoch) => {
-                    // Re-run everything after the checkpointed epoch; the
-                    // rolled-back curve entries get recomputed.
-                    let keep = (resume_epoch as usize) + 1;
-                    loss_curve.truncate(keep);
-                    val_curve.truncate(keep);
-                    epoch = keep;
-                    continue;
-                }
-                Err(e) => {
-                    ses_obs::info!("trainer: unrecoverable divergence at epoch {epoch} ({e})");
-                    return Err(TrainError::Diverged {
-                        epoch,
-                        reason,
-                        retries_used: manager.retries_used(),
-                        checkpoint: existing_checkpoint(&config.recovery),
-                    });
-                }
+        let mut params = encoder.params_mut();
+        match recovery.judge(epoch, loss_val, &mut grads, &mut opt, &mut rng, &mut params) {
+            Verdict::Healthy => {}
+            Verdict::Rewound { resume_after } => {
+                // Re-run everything after the checkpointed epoch; the
+                // rolled-back curve entries get recomputed.
+                epoch = resume_after + 1;
+                loss_curve.truncate(epoch);
+                val_curve.truncate(epoch);
+                continue;
+            }
+            Verdict::GaveUp { reason, .. } => {
+                return Err(TrainError::Diverged {
+                    epoch,
+                    reason,
+                    retries_used: recovery.retries_used(),
+                    checkpoint: config
+                        .recovery
+                        .checkpoint_path
+                        .clone()
+                        .filter(|p| p.exists()),
+                });
             }
         }
-
-        {
-            let _span = ses_obs::span!("trainer.step");
-            let mut params = encoder.params_mut();
-            debug_assert_eq!(params.len(), grads.len());
-            let mut updates: Vec<(&mut ses_tensor::Param, &Matrix)> = params
-                .iter_mut()
-                .zip(grads.iter())
-                .filter_map(|(p, g)| g.as_ref().map(|g| (&mut **p, g)))
-                .collect();
-            opt.step(&mut updates);
-        }
-
-        if manager.checkpoint_due(epoch as u64) {
-            let inject_io = fires(fault_fired, FaultKind::CkptIo);
-            if inject_io {
-                fault_fired = true;
-            }
-            let ckpt = capture_checkpoint(epoch, encoder, &opt, &rng);
-            manager.record_checkpoint(ckpt, inject_io)?;
-        }
+        apply_gradients(&mut opt, &mut params, &grads);
+        recovery.commit(epoch, &opt, &rng, &params)?;
 
         // validation
         let _eval_span = ses_obs::span!("trainer.eval");
-        let (pred, _) = predict(encoder, graph, adj, config.seed);
+        let pred = predict(encoder, adj, graph.features(), None).classes();
         drop(_eval_span);
         let val_acc = if splits.val.is_empty() {
             accuracy(&pred, graph.labels(), &splits.train)
@@ -417,12 +375,6 @@ pub fn train_node_classifier(
                 .span_breakdown("kernels_ms", &ses_obs::spans::delta_since(&spans_before))
                 .emit();
         }
-        if config.log_every > 0 && epoch.is_multiple_of(config.log_every) {
-            ses_obs::info!(
-                "[{}] epoch {epoch}: loss={loss_val:.4} val={val_acc:.4}",
-                encoder.name()
-            );
-        }
 
         if val_acc > best_val {
             best_val = val_acc;
@@ -440,7 +392,7 @@ pub fn train_node_classifier(
     if let Some(snap) = &best_snapshot {
         encoder.restore(snap);
     }
-    let (pred, _) = predict(encoder, graph, adj, config.seed);
+    let pred = predict(encoder, adj, graph.features(), None).classes();
     let test_acc = if splits.test.is_empty() {
         best_val
     } else {
@@ -464,6 +416,7 @@ mod tests {
     use super::*;
     use crate::gcn::Gcn;
     use ses_data::{realworld, Profile};
+    use ses_resilience::FaultKind;
 
     #[test]
     fn gcn_learns_planted_partition() {
@@ -489,19 +442,6 @@ mod tests {
         let first = report.loss_curve[0];
         let last = *report.loss_curve.last().unwrap();
         assert!(last < first, "loss must drop: {first} -> {last}");
-    }
-
-    #[test]
-    fn predict_is_deterministic_in_eval_mode() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let d = realworld::polblogs_like(Profile::Fast, &mut rng);
-        let g = &d.graph;
-        let adj = AdjView::of_graph(g);
-        let gcn = Gcn::new(g.n_features(), 8, g.n_classes(), &mut rng);
-        let (p1, e1) = predict(&gcn, g, &adj, 0);
-        let (p2, e2) = predict(&gcn, g, &adj, 99); // seed only affects dropout, off in eval
-        assert_eq!(p1, p2);
-        assert!(e1.max_abs_diff(&e2) < 1e-9);
     }
 
     /// A GCN that records one extra trainable leaf per forward pass and

@@ -1,7 +1,7 @@
 //! Small statistics helpers: mean ± std aggregation for multi-seed runs, and
-//! wall-clock timing.
+//! the paper tables' duration format.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Mean and (population) standard deviation of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,51 +33,6 @@ impl MeanStd {
 impl std::fmt::Display for MeanStd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:.2}±{:.2}", self.mean, self.std)
-    }
-}
-
-/// A simple stopwatch for the paper's timing tables (Tables 6–8).
-#[derive(Debug)]
-pub struct Stopwatch {
-    start: Instant,
-    laps: Vec<(String, Duration)>,
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Stopwatch {
-    /// Starts a new stopwatch.
-    pub fn new() -> Self {
-        Self {
-            // lint:allow(no-raw-instant-in-lib): ses-metrics sits below
-            // ses-obs in the crate graph; this lap stopwatch feeds the
-            // paper's timing tables, not telemetry.
-            start: Instant::now(),
-            laps: Vec::new(),
-        }
-    }
-
-    /// Elapsed time since construction or the last [`Stopwatch::lap`].
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Records a named lap and restarts the clock.
-    pub fn lap(&mut self, name: impl Into<String>) -> Duration {
-        let d = self.start.elapsed();
-        self.laps.push((name.into(), d));
-        // lint:allow(no-raw-instant-in-lib): see `new` — pre-obs crate.
-        self.start = Instant::now();
-        d
-    }
-
-    /// All recorded laps.
-    pub fn laps(&self) -> &[(String, Duration)] {
-        &self.laps
     }
 }
 
@@ -131,14 +86,5 @@ mod tests {
         assert_eq!(format_duration(Duration::from_secs_f64(590.0)), "9 min 50s");
         assert_eq!(format_duration(Duration::from_secs_f64(4.3)), "4.3s");
         assert_eq!(format_duration(Duration::from_secs_f64(0.0123)), "12.3ms");
-    }
-
-    #[test]
-    fn stopwatch_laps() {
-        let mut sw = Stopwatch::new();
-        std::thread::sleep(Duration::from_millis(5));
-        let lap = sw.lap("a");
-        assert!(lap >= Duration::from_millis(4));
-        assert_eq!(sw.laps().len(), 1);
     }
 }

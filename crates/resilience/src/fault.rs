@@ -21,9 +21,10 @@
 //! harness is test/drill infrastructure: nothing fires unless a spec is
 //! passed in a config (`TrainConfig::fault`, `SesConfig::fault`,
 //! `ServeConfig::fault`). Only the drill binaries read the environment,
-//! through [`from_env`]. Training loops consult the spec exactly once per
-//! epoch; the serving runtime consults it per request/stage, so a given run
-//! sees the fault deterministically.
+//! through [`from_env`]. A training run's
+//! [`RecoveryManager`](crate::RecoveryManager) consults the spec at fixed
+//! points of each epoch; the serving runtime consults it per request/stage,
+//! so a given run sees the fault deterministically.
 
 use std::fmt;
 use std::sync::OnceLock;

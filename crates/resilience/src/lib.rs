@@ -6,10 +6,12 @@
 //!   full-batch training loop needs to resume bit-identically (parameters,
 //!   Adam moments and step counter, learning rate, RNG state, epoch),
 //!   written via temp-file + atomic rename and guarded by a checksum.
-//! * [`recovery`] — a divergence sentinel (NaN/Inf loss, non-finite
-//!   gradients, loss spikes) that rolls back to the last good checkpoint
-//!   with LR backoff under a bounded retry budget, exporting
-//!   `trainer.recover.*` counters through `ses-obs`.
+//! * [`recovery`] — the per-epoch recovery protocol all three training
+//!   loops run: a divergence sentinel (NaN/Inf loss, non-finite gradients,
+//!   loss spikes) that rolls back to the last good checkpoint with LR
+//!   backoff under a bounded retry budget, the optimiser step, checkpoint
+//!   cadence and the run's fault schedule, exporting `trainer.recover.*`
+//!   counters through `ses-obs`.
 //! * [`fault`] — a seeded fault-injection harness (`SES_FAULT=<spec>`)
 //!   that deterministically produces NaN gradients, parallel-worker panics,
 //!   and checkpoint IO errors at chosen epochs, so tests and ci.sh can
@@ -36,4 +38,4 @@ pub use checkpoint::{
 };
 pub use fault::{FaultKind, FaultSpec, ServeStage};
 pub use isolate::run_request_isolated;
-pub use recovery::{RecoveryError, RecoveryManager, RecoveryPolicy, Verdict};
+pub use recovery::{apply_gradients, RecoveryError, RecoveryManager, RecoveryPolicy, Verdict};

@@ -603,17 +603,19 @@ fn gate_lane_speedup(cases: &[Case]) -> bool {
     ok
 }
 
-/// Asserts the per-epoch resilience tax — one divergence-sentinel `observe`
-/// plus one full `TrainCheckpoint::capture` (the standard policy checkpoints
-/// every epoch) — costs less than 2% of a conservative epoch-time lower
-/// bound: the sum of the serial ba_shapes kernel timings, i.e. a single
-/// invocation of each hot kernel, where a real epoch runs each several times
-/// across layers and backward. The probe model is sized to the same case
-/// (a 32-wide GCN, matching the ba_shapes operands) so both sides of the
-/// ratio scale together. Measured directly, like [`gate_obs_overhead`], so
-/// the gate is stable on shared hardware.
+/// Asserts the per-epoch resilience tax — what the recovery protocol adds
+/// to an epoch under the standard policy: `begin_epoch`, `judge` (the
+/// divergence sentinel over the loss and every gradient) and `commit` (a
+/// full in-memory checkpoint, taken every epoch), but not the optimiser
+/// step every loop takes anyway — costs less than 2% of a conservative
+/// epoch-time lower bound: the sum of the serial ba_shapes kernel timings,
+/// i.e. a single invocation of each hot kernel, where a real epoch runs
+/// each several times across layers and backward. The probe model is sized
+/// to the same case (a 32-wide GCN, matching the ba_shapes operands) so
+/// both sides of the ratio scale together. Measured directly, like
+/// [`gate_obs_overhead`], so the gate is stable on shared hardware.
 fn gate_resilience_overhead(entries: &[Entry]) -> bool {
-    use ses_resilience::{RecoveryManager, RecoveryPolicy, TrainCheckpoint};
+    use ses_resilience::{RecoveryManager, RecoveryPolicy};
     use ses_tensor::{Adam, Param};
 
     const MAX_FRACTION: f64 = 0.02;
@@ -631,29 +633,42 @@ fn gate_resilience_overhead(entries: &[Entry]) -> bool {
     // bias rows — the model whose epoch the serial timings lower-bound.
     let mut rng = StdRng::seed_from_u64(17);
     let mut dense = |rows: usize, cols: usize| {
-        Param::new(Matrix::from_vec(
+        Matrix::from_vec(
             rows,
             cols,
             (0..rows * cols)
                 .map(|_| rng.gen_range(-0.1f32..0.1))
                 .collect(),
-        ))
+        )
     };
-    let mut params = [dense(32, 32), dense(1, 32), dense(32, 4), dense(1, 4)];
-    let opt = Adam::new(3e-3);
-    let mut manager = RecoveryManager::new(RecoveryPolicy::standard());
-    let probe_rng = StdRng::seed_from_u64(17);
+    let shapes = [(32, 32), (1, 32), (32, 4), (1, 4)];
+    let mut params: Vec<Param> = shapes
+        .iter()
+        .map(|&(r, c)| Param::new(dense(r, c)))
+        .collect();
+    let mut grads: Vec<Option<Matrix>> = shapes.iter().map(|&(r, c)| Some(dense(r, c))).collect();
+    let mut opt = Adam::new(3e-3);
+    let mut manager = RecoveryManager::new(RecoveryPolicy::standard(), None);
+    let mut probe_rng = StdRng::seed_from_u64(17);
 
-    const ITERS: u32 = 32;
+    const ITERS: usize = 32;
     let start = Instant::now();
-    for i in 0..ITERS {
-        let verdict = manager.observe(0.7 - 1e-4 * i as f32, true);
+    for epoch in 0..ITERS {
+        let mut views: Vec<&mut Param> = params.iter_mut().collect();
+        manager.begin_epoch(epoch);
+        let loss = 0.7 - 1e-4 * epoch as f32;
+        let verdict = manager.judge(
+            epoch,
+            loss,
+            &mut grads,
+            &mut opt,
+            &mut probe_rng,
+            &mut views,
+        );
         black_box(verdict);
-        let views: Vec<&mut Param> = params.iter_mut().collect();
-        let ckpt = TrainCheckpoint::capture(u64::from(i), &opt, &probe_rng, &views);
-        black_box(ckpt);
+        black_box(manager.commit(epoch, &opt, &probe_rng, &views)).ok();
     }
-    let probe_ns = start.elapsed().as_nanos() as f64 / f64::from(ITERS);
+    let probe_ns = start.elapsed().as_nanos() as f64 / ITERS as f64;
 
     let fraction = probe_ns / epoch_lb_ns;
     if fraction < MAX_FRACTION {

@@ -9,7 +9,7 @@
 //! * [`Tape`]/[`Var`] — define-by-run automatic differentiation, including
 //!   sparse × dense products **differentiable in the edge values** and a
 //!   per-destination edge softmax (the GAT attention kernel);
-//! * [`optim`] — `Param`, SGD and Adam;
+//! * [`optim`] — `Param` and Adam;
 //! * [`init`] — Xavier/Glorot and friends;
 //! * [`gradcheck`] — finite-difference gradient verification used throughout
 //!   the test suite;
@@ -44,7 +44,7 @@ pub(crate) mod sync;
 pub mod tape;
 
 pub use matrix::Matrix;
-pub use optim::{Adam, Optimizer, Param, Sgd};
+pub use optim::{Adam, Optimizer, Param};
 pub use sparse::{CsrMatrix, CsrStructure};
 pub use tape::dropout_mask;
 pub use tape::{sanitize_enabled, Leak, LeakBudget, LeakKind, Tape, Var};

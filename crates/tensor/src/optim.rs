@@ -1,4 +1,4 @@
-//! Parameters and first-order optimisers (SGD, Adam).
+//! Parameters and the Adam optimiser.
 //!
 //! Parameters live *outside* the tape: each training step clones the current
 //! value onto a fresh tape via [`Tape::leaf`], runs forward + backward, then
@@ -70,50 +70,6 @@ pub trait Optimizer {
     fn learning_rate(&self) -> f32;
     /// Overrides the learning rate (for schedules / sensitivity sweeps).
     fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Plain stochastic gradient descent with optional weight decay.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    weight_decay: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr` and no weight decay.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            weight_decay: 0.0,
-        }
-    }
-
-    /// Sets L2 weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, updates: &mut [(&mut Param, &Matrix)]) {
-        for (p, g) in updates.iter_mut() {
-            if self.weight_decay > 0.0 {
-                let wd = self.weight_decay;
-                let v = p.value.clone();
-                p.value.add_scaled_assign(&v, -self.lr * wd);
-            }
-            p.value.add_scaled_assign(g, -self.lr);
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba, 2015) with bias correction, the optimiser used
@@ -203,7 +159,7 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    /// Minimise f(x) = (x - 3)^2 with each optimiser; both should converge.
+    /// Minimise f(x) = (x - 3)^2 with `opt`.
     fn quadratic_descent(opt: &mut dyn Optimizer, iters: usize) -> f32 {
         let mut p = Param::new(Matrix::scalar(0.0));
         for _ in 0..iters {
@@ -212,13 +168,6 @@ mod tests {
             opt.step(&mut [(&mut p, &grad)]);
         }
         p.value.scalar_value()
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let x = quadratic_descent(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-3, "x={x}");
     }
 
     #[test]
@@ -245,14 +194,5 @@ mod tests {
         let v = p.watch(&mut t);
         assert_eq!(t.value(v), &p.value);
         assert!(t.needs(v));
-    }
-
-    #[test]
-    fn sgd_weight_decay_shrinks() {
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        let mut p = Param::new(Matrix::scalar(1.0));
-        let zero = Matrix::scalar(0.0);
-        opt.step(&mut [(&mut p, &zero)]);
-        assert!(p.value.scalar_value() < 1.0);
     }
 }
